@@ -7,7 +7,6 @@ solver whose early phases use low-rank truncations served by fewer workers.
 """
 from .cluster import LatencyModel, RoundOutcome, SeededRng, order_stat_mean, sample_round, simulate_wait
 from .codec import (
-    BlockSplit,
     InfeasibleConfiguration,
     InsufficientResults,
     PackingFailure,
@@ -19,7 +18,6 @@ from .codec import (
     decode_prefix,
     encode_all,
     make_generator,
-    split_matrix,
     worker_multiply,
 )
 from .feasibility import (

@@ -1,34 +1,36 @@
 """Systematic real-valued MDS coding for sequential distributed multiplication.
 
-Each level-i source matrix is split into blocks of i rows (plus a remainder
-block), every block is expanded with a systematic MDS code whose parity part
-is a Cauchy matrix, and the coded rows are dealt across the L workers so that
-any ell responders jointly determine levels 1..ell.  Decoding inverts one
-small generator submatrix per block.
+A configuration fixes one block layout (``make_layout``): each level-i source
+matrix is split into blocks of i rows (plus a remainder block), every block is
+expanded with a systematic MDS code whose parity part is a Cauchy matrix, and
+the coded rows are dealt across the L workers so that any ell responders
+jointly determine levels 1..ell.  Encoding, decoding and the row dump all read
+that layout.  Decoding from a responder set is one product with a decode
+matrix built the first time that set responds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .feasibility import Configuration, check_feasible
+from .feasibility import Configuration, check_feasible, row_count_s
 
 __all__ = [
     "InfeasibleConfiguration",
     "PackingFailure",
     "InsufficientResults",
     "RowTag",
-    "BlockSplit",
     "SystematicGenerator",
     "SourceMatrices",
     "WorkerMatrix",
     "WorkerResult",
-    "split_matrix",
     "make_generator",
+    "make_layout",
     "encode_all",
     "worker_multiply",
     "decode_prefix",
@@ -47,7 +49,7 @@ class PackingFailure(RuntimeError):
 
 
 class InsufficientResults(RuntimeError):
-    """A block lacks enough coded rows among the responding workers."""
+    """Worker results lack coded rows that the layout places on the responders."""
 
 
 @dataclass(frozen=True)
@@ -61,25 +63,12 @@ class RowTag:
 
 
 @dataclass(frozen=True)
-class BlockSplit:
-    """Vertical split of one source matrix into full blocks plus remainder."""
-
-    level: int
-    full_blocks: tuple[np.ndarray, ...]
-    remainder: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class SystematicGenerator:
     """rows_out x rows_in generator whose top square block is the identity."""
 
     rows_in: int
     rows_out: int
     coefficients: np.ndarray
-
-    @property
-    def parity_rows(self) -> int:
-        return self.rows_out - self.rows_in
 
 
 @dataclass(frozen=True)
@@ -123,21 +112,6 @@ class WorkerResult:
     tags: tuple[RowTag, ...]
 
 
-def split_matrix(A_i: np.ndarray, level: int) -> BlockSplit:
-    """Split a level-i matrix into consecutive i-row blocks plus remainder."""
-    A_i = np.asarray(A_i, dtype=float)
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    if A_i.ndim != 2:
-        raise ValueError("expected a 2-dimensional matrix")
-    k_i = A_i.shape[0]
-    nfull = k_i // level
-    rem = k_i % level
-    full = tuple(A_i[j * level : (j + 1) * level] for j in range(nfull))
-    remainder = A_i[nfull * level :] if rem else None
-    return BlockSplit(level=level, full_blocks=full, remainder=remainder)
-
-
 def _cauchy_parity(rows_in: int, parity: int) -> np.ndarray:
     # nodes rows_in..rows_in+parity-1 against 0..rows_in-1 are disjoint, so
     # every square submatrix of the Cauchy block is invertible
@@ -172,73 +146,129 @@ def make_generator(rows_in: int, rows_out: int) -> SystematicGenerator:
     return gen
 
 
-def encode_all(src: SourceMatrices, cfg: Configuration) -> list[WorkerMatrix]:
-    """Encode all source matrices and deal the coded rows across L workers.
+@dataclass(frozen=True)
+class Block:
+    """Source rows start..start+rows_in-1 of one level, coded to rows_out rows.
 
+    Coded row r is stored by worker homes[r] (0-based) as row slots[r] of that
+    worker's matrix.
+    """
+
+    level: int
+    index: int
+    start: int
+    rows_in: int
+    rows_out: int
+    homes: tuple[int, ...]
+    slots: tuple[int, ...]
+
+    @property
+    def generator(self) -> SystematicGenerator:
+        return make_generator(self.rows_in, self.rows_out)
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Block geometry and row placement of one configuration (``make_layout``).
+
+    ``levels[i-1]`` lists the blocks of level i; ``tags[w]`` lists the coded
+    rows of worker w+1 in storage order; level i's products occupy entries
+    ``offsets[i-1]:offsets[i]`` of a decoded vector.  ``decoders`` caches one
+    decode matrix per responder set.
+    """
+
+    levels: tuple[tuple[Block, ...], ...]
+    tags: tuple[tuple[RowTag, ...], ...]
+    offsets: tuple[int, ...]
+    decoders: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict, repr=False)
+
+    def decoder(self, responders: tuple[int, ...]) -> np.ndarray:
+        """Decode matrix D_S mapping the outputs of the ascending worker ids S,
+        concatenated, to the products of levels 1..|S|.  Per block it reads the
+        lowest-indexed coded rows present: systematic rows are copied verbatim,
+        otherwise the inverse of that generator submatrix is applied."""
+        D = self.decoders.get(responders)
+        if D is not None:
+            return D
+        column: dict[int, int] = {}  # worker index -> column of its first row
+        width = 0
+        for w in responders:
+            column[w - 1] = width
+            width += len(self.tags[w - 1])
+        ell = len(responders)
+        D = np.zeros((self.offsets[ell], width))
+        for blocks in self.levels[:ell]:
+            for blk in blocks:
+                got = [(r, column[w] + s) for r, (w, s) in enumerate(zip(blk.homes, blk.slots))
+                       if w in column]
+                idx, cols = map(list, zip(*got[: blk.rows_in]))
+                sub = blk.generator.coefficients[idx]  # the identity if idx is systematic
+                first = self.offsets[blk.level - 1] + blk.start
+                D[first : first + blk.rows_in, cols] = (
+                    sub if idx == list(range(blk.rows_in)) else np.linalg.inv(sub))
+        D.setflags(write=False)
+        self.decoders[responders] = D
+        return D
+
+
+@lru_cache(maxsize=None)
+def make_layout(cfg: Configuration) -> Layout:
+    """The block layout of a configuration, built once per configuration.
+
+    Level i is split into consecutive blocks of i source rows plus a remainder
+    block; a block of rows_in rows is coded to row_count_s(i, rows_in, L) rows.
     Full-block row r goes to worker r+1.  Remainder-block rows go one each to
     the currently least-loaded workers (ties to the lower worker index),
     levels processed in increasing order.
     """
+    budget = check_feasible(cfg)
+    if not budget.feasible:
+        raise InfeasibleConfiguration(
+            f"row budget {budget.total} exceeds capacity {budget.capacity}"
+        )
+    tags: list[list[RowTag]] = [[] for _ in range(cfg.L)]
+    levels = []
+    for level, k_i in enumerate(cfg.k, start=1):
+        blocks = []
+        for index, start in enumerate(range(0, k_i, level)):
+            rows_in = min(level, k_i - start)
+            rows_out = row_count_s(level, rows_in, cfg.L)
+            order = range(cfg.L) if rows_in == level else sorted(
+                range(cfg.L), key=lambda w: (len(tags[w]), w))
+            homes = tuple(order[:rows_out])
+            slots = tuple(len(tags[w]) for w in homes)
+            for r, w in enumerate(homes):
+                tags[w].append(RowTag(level=level, block=index, row=r, systematic=r < rows_in))
+            blocks.append(Block(level, index, start, rows_in, rows_out, homes, slots))
+        levels.append(tuple(blocks))
+    for w, rows in enumerate(tags):
+        if len(rows) > cfg.n:
+            raise PackingFailure(f"worker {w + 1} holds {len(rows)} > n rows")
+    return Layout(tuple(levels), tuple(map(tuple, tags)), (0, *cfg.cumulative_ranks()))
+
+
+def encode_all(src: SourceMatrices, cfg: Configuration) -> list[WorkerMatrix]:
+    """Encode all source matrices and deal the coded rows across L workers,
+    as the configuration's layout places them."""
     if len(src.matrices) != cfg.L:
         raise ValueError(f"expected {cfg.L} source matrices, got {len(src.matrices)}")
     if src.level_rows != cfg.k:
         raise ValueError(
             f"source row counts {src.level_rows} do not match configuration {cfg.k}"
         )
-    budget = check_feasible(cfg)
-    if not budget.feasible:
-        raise InfeasibleConfiguration(
-            f"row budget {budget.total} exceeds capacity {budget.capacity}"
-        )
-
-    per_worker: list[list[tuple[np.ndarray, RowTag]]] = [[] for _ in range(cfg.L)]
-    loads = [0] * cfg.L
-
-    for level, A_i in enumerate(src.matrices, start=1):
-        splits = split_matrix(A_i, level)
-        for j, block in enumerate(splits.full_blocks):
-            gen = make_generator(level, cfg.L)
-            coded = gen.coefficients @ block
-            for r in range(cfg.L):
-                tag = RowTag(level=level, block=j, row=r, systematic=r < level)
-                per_worker[r].append((coded[r], tag))
-                loads[r] += 1
-        if splits.remainder is not None:
-            rem = splits.remainder.shape[0]
-            rows_out = cfg.L - level + rem
-            gen = make_generator(rem, rows_out)
-            coded = gen.coefficients @ splits.remainder
-            order = sorted(range(cfg.L), key=lambda w: (loads[w], w))
-            homes = order[:rows_out]
-            for r, w in enumerate(homes):
-                if loads[w] >= cfg.n:
-                    raise PackingFailure(
-                        f"worker {w + 1} full while placing remainder of level {level}"
-                    )
-                tag = RowTag(
-                    level=level, block=len(splits.full_blocks), row=r,
-                    systematic=r < rem,
-                )
-                per_worker[w].append((coded[r], tag))
-                loads[w] += 1
-
-    workers = []
-    for w, entries in enumerate(per_worker):
-        if len(entries) > cfg.n:
-            raise PackingFailure(f"worker {w + 1} holds {len(entries)} > n rows")
-        rows = (
-            np.vstack([e[0] for e in entries])
-            if entries
-            else np.empty((0, src.m))
-        )
+    layout = make_layout(cfg)
+    stored = [np.empty((len(tags), src.m)) for tags in layout.tags]
+    for A_i, blocks in zip(src.matrices, layout.levels):
+        for blk in blocks:
+            coded = blk.generator.coefficients @ A_i[blk.start : blk.start + blk.rows_in]
+            for w, slot, row in zip(blk.homes, blk.slots, coded):
+                stored[w][slot] = row
+    for rows in stored:
         rows.setflags(write=False)
-        workers.append(
-            WorkerMatrix(
-                worker_id=w + 1, rows=rows, tags=tuple(e[1] for e in entries)
-            )
-        )
-    assert sum(len(w.tags) for w in workers) == budget.total
-    return workers
+    return [
+        WorkerMatrix(worker_id=w + 1, rows=rows, tags=tags)
+        for w, (rows, tags) in enumerate(zip(stored, layout.tags))
+    ]
 
 
 def worker_multiply(worker: WorkerMatrix, z: np.ndarray) -> WorkerResult:
@@ -257,9 +287,8 @@ def decode_prefix(
 ) -> list[np.ndarray]:
     """Recover [A_1 z, ..., A_ell z] from the results of ell distinct workers.
 
-    Per block, any rows_in received entries determine the block product by
-    inverting the corresponding generator submatrix (LU solve); systematic
-    rows are preferred so that full-response decoding reduces to copying.
+    The products are one multiplication of the concatenated results by the
+    responder set's cached decode matrix (``Layout.decoder``).
     """
     ell = len(results)
     if ell == 0:
@@ -269,53 +298,34 @@ def decode_prefix(
     ids = [r.worker_id for r in results]
     if len(set(ids)) != ell:
         raise ValueError(f"worker results must come from distinct workers, got {ids}")
+    if not all(1 <= w <= cfg.L for w in ids):
+        raise ValueError(f"worker ids must lie in 1..{cfg.L}, got {ids}")
 
-    pool: dict[tuple[int, int], list[tuple[int, float]]] = {}
+    layout = make_layout(cfg)
+    results = sorted(results, key=attrgetter("worker_id"))
     for res in results:
         if len(res.tags) != len(res.y):
             raise ValueError(
                 f"worker {res.worker_id}: {len(res.y)} values for {len(res.tags)} tags"
             )
-        for value, tag in zip(res.y, res.tags):
-            pool.setdefault((tag.level, tag.block), []).append((tag.row, value))
-
-    decoded: list[np.ndarray] = []
-    for level in range(1, ell + 1):
-        k_i = cfg.k[level - 1]
-        nfull, rem = divmod(k_i, level)
-        pieces = []
-        for j in range(nfull + (1 if rem else 0)):
-            rows_in = level if j < nfull else rem
-            rows_out = cfg.L if j < nfull else cfg.L - level + rem
-            got = sorted(pool.get((level, j), []))
-            if len(got) < rows_in:
-                raise InsufficientResults(
-                    f"level {level} block {j}: {len(got)} rows received, "
-                    f"{rows_in} needed"
-                )
-            sel = got[:rows_in]
-            idx = [r for r, _ in sel]
-            y = np.array([v for _, v in sel])
-            if idx == list(range(rows_in)):
-                pieces.append(y)  # systematic rows: message verbatim
-            else:
-                gen = make_generator(rows_in, rows_out)
-                pieces.append(np.linalg.solve(gen.coefficients[idx], y))
-        decoded.append(np.concatenate(pieces) if pieces else np.empty(0))
-    return decoded
+        expected = layout.tags[res.worker_id - 1]
+        if res.tags is not expected and res.tags != expected:
+            raise InsufficientResults(
+                f"worker {res.worker_id}: coded rows differ from those of the layout")
+    D = layout.decoder(tuple(r.worker_id for r in results))
+    t = D @ np.concatenate([r.y for r in results])
+    bounds = layout.offsets[: ell + 1]
+    return [t[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def dump_rows(
     workers: Iterable[WorkerMatrix], cfg: Configuration
 ) -> Iterator[dict[str, object]]:
     """Per-coded-row provenance records (for the CSV debug dump)."""
+    layout = make_layout(cfg)
     for worker in workers:
         for tag in worker.tags:
-            k_i = cfg.k[tag.level - 1]
-            nfull, rem = divmod(k_i, tag.level)
-            rows_in = tag.level if tag.block < nfull else rem
-            rows_out = cfg.L if tag.block < nfull else cfg.L - tag.level + rem
-            gen = make_generator(rows_in, rows_out)
+            gen = layout.levels[tag.level - 1][tag.block].generator
             coeffs = " ".join(f"{c:.17g}" for c in gen.coefficients[tag.row])
             yield {
                 "worker_id": worker.worker_id,

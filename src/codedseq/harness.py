@@ -240,14 +240,20 @@ class ExperimentSummary:
         return 1.0 - self.mean_time_sequential / self.mean_time_baseline
 
     def lines(self) -> list[str]:
+        # a mean time is nan when no replication of that algorithm reached it
+        times = ["n/a" if np.isnan(t) else f"{t:.4f}"
+                 for t in (self.mean_time_sequential, self.mean_time_baseline)]
+        speedup = "not reached"
+        if self.reached_sequential and self.reached_baseline:
+            speedup = f"{self.speedup:.3f}x  (time saving {self.time_saving:.1%})"
         return [
             f"experiment {self.label}: {self.replications} replications",
             f"  threshold suboptimality: {self.threshold:g}",
             f"  sequential: reached {self.reached_sequential}/{self.replications}, "
-            f"mean time {self.mean_time_sequential:.4f}",
+            f"mean time {times[0]}",
             f"  baseline:   reached {self.reached_baseline}/{self.replications}, "
-            f"mean time {self.mean_time_baseline:.4f}",
-            f"  speedup: {self.speedup:.3f}x  (time saving {self.time_saving:.1%})",
+            f"mean time {times[1]}",
+            f"  speedup: {speedup}",
             f"  mean final suboptimality: sequential "
             f"{self.mean_final_suboptimality:.6g}, baseline "
             f"{self.mean_final_suboptimality_baseline:.6g}",

@@ -23,7 +23,6 @@ __all__ = [
     "Phase",
     "ApproxSchedule",
     "CodedMatvecSystem",
-    "SolverState",
     "IterationRecord",
     "RunTrace",
     "soft_threshold",
@@ -239,16 +238,6 @@ def sequential_matvec(
     return g, elapsed
 
 
-@dataclass
-class SolverState:
-    """Mutable per-run iteration state."""
-
-    x: np.ndarray
-    k: int = 0
-    phase_index: int = 1
-    step: float = 0.0
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     iteration: int
@@ -316,39 +305,35 @@ def run_sequential(
     system = CodedMatvecSystem.setup(svd, schedule.config)
     rng = _as_rng(seed)
 
-    state = SolverState(x=np.zeros(problem.cols))
+    x = np.zeros(problem.cols)
+    k = 0
     trace = RunTrace(iterates=[] if keep_iterates else None)
     cum = 0.0
     for phase_idx, phase in enumerate(schedule.phases, start=1):
-        state.phase_index = phase_idx
-        state.step = 1.0 / float(truncate_svd(svd, phase.rank).sigma[0] ** 2)
+        step = 1.0 / float(truncate_svd(svd, phase.rank).sigma[0] ** 2)
         offset = svd.gradient_offset(problem.b, phase.rank)
         for _ in range(phase.iterations):
-            state.k += 1
-            g, elapsed = sequential_matvec(
-                state.x, phase, system, model, rng.spawn(state.k, 0)
-            )
+            k += 1
+            g, elapsed = sequential_matvec(x, phase, system, model, rng.spawn(k, 0))
             if charge_second_round:
                 second, _ = simulate_wait(
-                    model, schedule.config.L, phase.ell, rng.spawn(state.k, 1)
+                    model, schedule.config.L, phase.ell, rng.spawn(k, 1)
                 )
                 elapsed += second
-            state.x = soft_threshold(
-                state.x - state.step * (g - offset), state.step * problem.gamma
-            )
+            x = soft_threshold(x - step * (g - offset), step * problem.gamma)
             cum += elapsed
             trace.records.append(
                 IterationRecord(
-                    iteration=state.k,
+                    iteration=k,
                     phase=phase_idx,
                     iter_time=elapsed,
                     cum_time=cum,
-                    objective=problem.objective(state.x),
-                    suboptimality=float(np.linalg.norm(state.x - x_star)) / denom,
+                    objective=problem.objective(x),
+                    suboptimality=float(np.linalg.norm(x - x_star)) / denom,
                 )
             )
             if trace.iterates is not None:
-                trace.iterates.append(state.x.copy())
+                trace.iterates.append(x.copy())
     return trace
 
 

@@ -11,7 +11,7 @@ from codedseq.codec import (
     dump_rows,
     encode_all,
     make_generator,
-    split_matrix,
+    make_layout,
     worker_multiply,
 )
 from codedseq.feasibility import Configuration, check_feasible, row_count_s
@@ -45,29 +45,83 @@ def roundtrip_max_error(cfg, m=10, seed=0):
     return worst
 
 
-class TestSplit:
+def pool_decode(results, cfg):
+    """Reference decoder: pools rows per block from the tags and LU-solves
+    each block on its lowest-indexed received rows."""
+    pool = {}
+    for res in results:
+        for value, tag in zip(res.y, res.tags):
+            pool.setdefault((tag.level, tag.block), []).append((tag.row, value))
+    decoded = []
+    for level in range(1, len(results) + 1):
+        nfull, rem = divmod(cfg.k[level - 1], level)
+        pieces = []
+        for j in range(nfull + (1 if rem else 0)):
+            rows_in = level if j < nfull else rem
+            rows_out = cfg.L if j < nfull else cfg.L - level + rem
+            idx, y = zip(*sorted(pool[(level, j)])[:rows_in])
+            gen = make_generator(rows_in, rows_out)
+            pieces.append(np.linalg.solve(gen.coefficients[list(idx)], np.array(y)))
+        decoded.append(np.concatenate(pieces) if pieces else np.empty(0))
+    return decoded
+
+
+def level_blocks(cfg, level):
+    return [(b.start, b.rows_in) for b in make_layout(cfg).levels[level - 1]]
+
+
+def sweep_configs(L, count=60, seed=0):
+    """Random level counts, each with the smallest n its row budget allows."""
+    rng = np.random.default_rng(seed + L)
+    for _ in range(count):
+        k = tuple(int(v) for v in rng.integers(0, 2 * L + 1, size=L))
+        total = sum(row_count_s(i, k_i, L) for i, k_i in enumerate(k, 1))
+        yield Configuration(L=L, n=max(1, -(-total // L)), k=k)
+
+
+class TestLayout:
     def test_remainder_split(self):
-        A = np.arange(12.0).reshape(3, 4)
-        s = split_matrix(A, 2)
-        assert len(s.full_blocks) == 1
-        np.testing.assert_array_equal(s.full_blocks[0], A[:2])
-        np.testing.assert_array_equal(s.remainder, A[2:])
+        assert level_blocks(Configuration(L=2, n=2, k=(0, 3)), 2) == [(0, 2), (2, 1)]
 
     def test_exact_split(self):
-        A = np.arange(12.0).reshape(3, 4)
-        s = split_matrix(A, 3)
-        assert len(s.full_blocks) == 1
-        assert s.remainder is None
+        assert level_blocks(Configuration(L=3, n=1, k=(0, 0, 3)), 3) == [(0, 3)]
 
     def test_single_row_high_level(self):
-        A = np.ones((1, 4))
-        s = split_matrix(A, 4)
-        assert s.full_blocks == ()
-        assert s.remainder.shape == (1, 4)
+        cfg = Configuration(L=4, n=1, k=(0, 0, 0, 1))
+        assert level_blocks(cfg, 4) == [(0, 1)]
+        assert make_layout(cfg).levels[3][0].rows_out == 1
 
-    def test_empty_matrix(self):
-        s = split_matrix(np.empty((0, 4)), 2)
-        assert s.full_blocks == () and s.remainder is None
+    def test_empty_level(self):
+        assert level_blocks(Configuration(L=2, n=2, k=(1, 0)), 2) == []
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_geometry_matches_row_budget(self, L):
+        for cfg in sweep_configs(L):
+            layout = make_layout(cfg)
+            budget = check_feasible(cfg)
+            for level, blocks in enumerate(layout.levels, start=1):
+                assert sum(b.rows_out for b in blocks) == budget.s[level - 1]
+                starts = [b.start for b in blocks]
+                assert starts == list(range(0, cfg.k[level - 1], level))
+                assert sum(b.rows_in for b in blocks) == cfg.k[level - 1]
+                for b in blocks:
+                    assert len(set(b.homes)) == len(b.homes) == b.rows_out
+                    for r, (w, slot) in enumerate(zip(b.homes, b.slots)):
+                        tag = layout.tags[w][slot]
+                        assert (tag.level, tag.block, tag.row) == (level, b.index, r)
+            assert all(len(tags) <= cfg.n for tags in layout.tags)
+
+    def test_decode_matrix_built_once_per_responder_set(self):
+        cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
+        workers = encode_all(random_source(cfg, 7, 0), cfg)
+        layout = make_layout(cfg)
+        layout.decoders.clear()
+        z = np.random.default_rng(3).standard_normal(7)
+        decode_prefix([worker_multiply(workers[i], z) for i in (3, 1)], cfg)
+        first = layout.decoders[(2, 4)]
+        decode_prefix([worker_multiply(workers[i], z) for i in (1, 3)], cfg)
+        assert list(layout.decoders) == [(2, 4)]
+        assert layout.decoders[(2, 4)] is first
 
 
 class TestGenerator:
@@ -212,6 +266,7 @@ class TestDecode:
             (2, 3, 5, 7),
             (1, 2, 3, 4, 5),
             (8, 8, 8, 8, 8),
+            (4, 0, 0, 8, 0, 12, 0, 16),
         ],
     )
     def test_roundtrip_various_configs(self, k):
@@ -220,6 +275,24 @@ class TestDecode:
         n = max(1, -(-total // L))
         cfg = Configuration(L=L, n=n, k=k)
         assert roundtrip_max_error(cfg, m=10, seed=L) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            Configuration(L=4, n=3, k=(0, 3, 3, 1)),
+            Configuration(L=5, n=5, k=(1, 2, 3, 4, 5)),
+        ],
+    )
+    def test_matches_reference_decoder(self, cfg):
+        src = random_source(cfg, 6, 5)
+        workers = encode_all(src, cfg)
+        z = np.random.default_rng(8).standard_normal(6)
+        results = [worker_multiply(w, z) for w in workers]
+        for ell in range(1, cfg.L + 1):
+            for subset in combinations(range(cfg.L), ell):
+                picked = [results[i] for i in subset]
+                for got, want in zip(decode_prefix(picked, cfg), pool_decode(picked, cfg)):
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_subset_independence(self):
         cfg = Configuration(L=4, n=5, k=(1, 3, 4, 2))
@@ -274,6 +347,13 @@ class TestDecode:
         res = worker_multiply(workers[0], np.zeros(3))
         with pytest.raises(ValueError):
             decode_prefix([res, res], cfg)
+
+    def test_unknown_worker_rejected(self):
+        cfg = Configuration(L=2, n=2, k=(1, 1))
+        workers = encode_all(random_source(cfg, 3, 1), cfg)
+        res = worker_multiply(workers[1], np.zeros(3))
+        with pytest.raises(ValueError):
+            decode_prefix([type(res)(worker_id=3, y=res.y, tags=res.tags)], cfg)
 
     def test_insufficient_rows_detected(self):
         cfg = Configuration(L=2, n=2, k=(1, 1))

@@ -143,6 +143,18 @@ class TestRunExperiment:
         again = summarize_trace_file(out, config.label, config.summary_threshold)
         assert again == summary
 
+    def test_summary_without_reached_threshold_has_no_nan(
+        self, tmp_path, custom_config_file
+    ):
+        config = parse_config_file(custom_config_file)
+        out = tmp_path / "trace.csv"
+        run_experiment(config, seed=7, replications=1, output=out)
+        summary = summarize_trace_file(out, config.label, 1e-30)
+        assert (summary.reached_sequential, summary.reached_baseline) == (0, 0)
+        lines = summary.lines()
+        assert "  speedup: not reached" in lines
+        assert not any("nan" in line for line in lines)
+
     def test_rows_sorted_and_cum_time_increasing(self, tmp_path, custom_config_file):
         config = parse_config_file(custom_config_file)
         out = tmp_path / "trace.csv"

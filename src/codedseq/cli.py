@@ -140,8 +140,7 @@ def _cmd_experiment(args) -> int:
     except ValueError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
-    except Exception as exc:  # partial outputs must not survive a failure
-        output.unlink(missing_ok=True)
+    except Exception as exc:  # write_trace_csv leaves no partial output
         print(f"experiment failed: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
     for line in summary.lines():

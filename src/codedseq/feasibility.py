@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterator, Mapping
 
 __all__ = [
@@ -145,17 +145,6 @@ def min_rows_oracle(
     return best[0]
 
 
-def _max_level_rows(i: int, L: int, budget: int) -> int:
-    """Largest k_i whose row cost fits within the remaining budget."""
-    if budget <= 0:
-        return 0
-    # row_count_s grows by at least L/i per source row, so k_i <= i*budget/L.
-    hi = (i * budget) // L + i
-    while hi > 0 and row_count_s(i, hi, L) > budget:
-        hi -= 1
-    return hi
-
-
 def feasible_configs(
     L: int,
     n: int,
@@ -186,35 +175,35 @@ def feasible_configs(
     for ell in range(1, L + 1):
         required[ell] = max(required[ell], required[ell - 1])
 
+    R = required[L]
+    # every source row costs at least one coded row, which also keeps R <= n*L
+    if R > capacity or (limit is not None and limit < 1):
+        return []
+    # least[level][c]: fewest coded rows levels level..L need to meet every
+    # remaining target when c source rows (capped at R) precede the level;
+    # inf when c already misses required[level - 1].
+    least = [[]] * (L + 1) + [[math.inf] * R + [0]]
+    for level in range(L, 0, -1):
+        cost = [row_count_s(level, k_i, L) for k_i in range(R + 1)]
+        least[level] = [
+            min(cost[k_i] + least[level + 1][c + k_i] for k_i in range(R - c + 1))
+            if c >= required[level - 1] else math.inf
+            for c in range(R + 1)
+        ]
+
     found: list[Configuration] = []
 
     def descend(level: int, k_prefix: list[int], used: int, cum: int) -> bool:
-        if limit is not None and len(found) >= limit:
-            return True
         if level > L:
             found.append(Configuration(L=L, n=n, k=tuple(k_prefix)))
-            return limit is not None and len(found) >= limit
-        remaining = capacity - used
-        # even spending the whole remaining budget at the cheapest later level
-        # cannot help if this level's cumulative requirement already fails
-        max_future = sum(
-            _max_level_rows(j, L, remaining) for j in range(level, L + 1)
-        )
-        if cum + max_future < required[L]:
-            return False
-        top = _max_level_rows(level, L, remaining)
-        for k_i in range(0, top + 1):
-            if cum + k_i + sum(
-                _max_level_rows(j, L, remaining - row_count_s(level, k_i, L))
-                for j in range(level + 1, L + 1)
-            ) < required[L]:
+            return len(found) == limit
+        for k_i in count():
+            spent = used + row_count_s(level, k_i, L)
+            if spent > capacity:  # row_count_s is nondecreasing in k_i
+                break
+            if spent + least[level + 1][min(cum + k_i, R)] > capacity:
                 continue
-            if cum + k_i < required[level]:
-                continue
-            cost = row_count_s(level, k_i, L)
-            if used + cost > capacity:
-                continue
-            if descend(level + 1, k_prefix + [k_i], used + cost, cum + k_i):
+            if descend(level + 1, k_prefix + [k_i], spent, cum + k_i):
                 return True
         return False
 

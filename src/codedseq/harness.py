@@ -97,31 +97,34 @@ def make_preset(name: str) -> ExperimentConfig:
 def resolve_configuration(config: ExperimentConfig) -> Configuration:
     """The explicit level counts, or an automatic feasible pick for 'auto'.
 
-    Automatic selection scans nondecreasing responder-count assignments for
-    the phase ranks, preferring the earliest (cheapest) assignments, and
-    takes the first feasible configuration that supports one.
+    Automatic selection takes the lexicographically first nondecreasing
+    assignment of responder counts to the phase ranks that some feasible
+    configuration supports, then the lexicographically first such k.
     """
     if config.configuration is not None:
         return Configuration(L=config.L, n=config.n, k=config.configuration)
 
-    ranks = [rank for rank, _ in config.phases]
+    L, ranks = config.L, [rank for rank, _ in config.phases]
 
-    def assignments(prev: int, idx: int, acc: list[int]):
-        if idx == len(ranks):
-            yield tuple(acc)
-            return
-        for ell in range(prev, config.L + 1):
-            yield from assignments(ell, idx + 1, acc + [ell])
+    def first_fit(ells: list[int]) -> list[Configuration]:
+        # sorted by rank, so phases sharing an ell keep the largest rank
+        targets = {ell: rank for rank, ell in sorted(zip(ranks, ells))}
+        return feasible_configs(L, config.n, targets, limit=1)
 
-    for ells in assignments(1, 0, []):
-        targets = {ell: rank for rank, ell in zip(ranks, ells)}
-        hits = feasible_configs(config.L, config.n, targets, limit=1)
-        if hits:
-            return hits[0]
-    raise ValueError(
-        f"no feasible configuration supports phase ranks {ranks} on "
-        f"(L={config.L}, n={config.n})"
-    )
+    ells = [L] * len(ranks)
+    if not first_fit(ells):
+        raise ValueError(f"no feasible configuration supports phase ranks "
+                         f"{ranks} on (L={L}, n={config.n})")
+    # Giving a phase more responders only moves its target to a later level,
+    # so feasibility never gets harder as an ell grows: fixing each phase's
+    # smallest workable ell in turn, later phases still at L, yields the
+    # lexicographically first feasible assignment.
+    for idx in range(len(ranks)):
+        ells[idx] = next(
+            e for e in range(ells[idx - 1] if idx else 1, L + 1)
+            if first_fit(ells[:idx] + [e] + ells[idx + 1:])
+        )
+    return first_fit(ells)[0]
 
 
 def validate_experiment(config: ExperimentConfig) -> ApproxSchedule:
@@ -188,11 +191,14 @@ def write_trace_csv(path: "str | Path", rows: Iterable[list[str]]) -> None:
     """Atomic write: full temp file then rename."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(TRACE_HEADER + "\n")
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_trace_csv(path: "str | Path") -> list[dict[str, object]]:
@@ -245,7 +251,9 @@ class ExperimentSummary:
                  for t in (self.mean_time_sequential, self.mean_time_baseline)]
         speedup = "not reached"
         if self.reached_sequential and self.reached_baseline:
-            speedup = f"{self.speedup:.3f}x  (time saving {self.time_saving:.1%})"
+            speedup = "n/a"  # a zero mean time leaves the ratio undefined
+            if self.mean_time_sequential and self.mean_time_baseline:
+                speedup = f"{self.speedup:.3f}x  (time saving {self.time_saving:.1%})"
         return [
             f"experiment {self.label}: {self.replications} replications",
             f"  threshold suboptimality: {self.threshold:g}",
@@ -342,19 +350,21 @@ def run_experiment(
 
 
 def parse_config_file(path: "str | Path") -> ExperimentConfig:
-    """Read a key = value experiment description (INI sections per component)."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"cannot read config file {path}")
+    """Read an INI experiment description; any defect raises ValueError."""
     try:
-        cluster = parser["cluster"]
-        latency = parser["latency"]
-        problem = parser["problem"]
-        schedule = parser["schedule"]
-        configuration = parser["configuration"]
+        return _read_config(path)
     except KeyError as exc:
-        raise ValueError(f"config file missing section {exc}") from exc
+        raise ValueError(f"config file missing section or key {exc}") from exc
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file: {exc}") from exc
+
+
+def _read_config(path: "str | Path") -> ExperimentConfig:
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise ValueError(f"cannot read config file {path}")
+    sections = ("cluster", "latency", "problem", "schedule", "configuration")
+    cluster, latency, problem, schedule, configuration = (parser[s] for s in sections)
 
     phases = []
     for item in schedule["phases"].split(","):

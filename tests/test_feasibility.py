@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -126,3 +129,45 @@ class TestFeasibleConfigs:
             budget = check_feasible(Configuration(L=4, n=n, k=k))
             assert budget.feasible
             assert budget.total == budget.capacity == 40
+
+
+def feasible_box(L, n):
+    """Every feasible k on (L, n), by exhaustive lexicographic scan."""
+    capacity = n * L
+    ranges = [
+        range(next(k for k in range(capacity + 2) if row_count_s(i, k, L) > capacity))
+        for i in range(1, L + 1)
+    ]
+    configs = (Configuration(L=L, n=n, k=k) for k in product(*ranges))
+    return [cfg for cfg in configs if check_feasible(cfg).feasible]
+
+
+class TestFeasibleConfigsBruteForce:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_matches_exhaustive_enumeration(self, L):
+        rng = random.Random(L)
+        for n in range(1, 5):
+            box = feasible_box(L, n)
+            cases = [{}] + [
+                {rng.randint(1, L): rng.randint(0, n * L + 1)
+                 for _ in range(rng.randint(1, 3))}
+                for _ in range(12)
+            ]
+            for targets in cases:
+                want = [
+                    cfg for cfg in box
+                    if all(cfg.cumulative_ranks()[ell - 1] >= rank
+                           for ell, rank in targets.items())
+                ]
+                for limit in (None, 1, 3):
+                    got = feasible_configs(L, n, targets, limit=limit)
+                    assert got == want[:limit], (L, n, targets, limit)
+
+    def test_rank_above_capacity_yields_nothing(self):
+        assert feasible_configs(3, 2, {3: 7}) == []
+        assert feasible_configs(3, 2, {3: 6}) == [
+            Configuration(L=3, n=2, k=(0, 0, 6))
+        ]
+
+    def test_zero_limit_yields_nothing(self):
+        assert feasible_configs(4, 10, {4: 1}, limit=0) == []

@@ -1,10 +1,15 @@
+import csv
+import random
+
 import numpy as np
 import pytest
 
 from codedseq.cli import main
-from codedseq.feasibility import Configuration
+from codedseq.cluster import LatencyModel
+from codedseq.feasibility import Configuration, feasible_configs
 from codedseq.harness import (
     ExperimentConfig,
+    ExperimentSummary,
     TRACE_HEADER,
     make_preset,
     parse_config_file,
@@ -85,6 +90,25 @@ class TestPresets:
             validate_experiment(make_preset(name))
 
 
+def scan_resolve(config):
+    """Reference k = auto: scan every nondecreasing responder assignment."""
+    ranks = [rank for rank, _ in config.phases]
+
+    def assignments(prev, idx, acc):
+        if idx == len(ranks):
+            yield tuple(acc)
+            return
+        for ell in range(prev, config.L + 1):
+            yield from assignments(ell, idx + 1, acc + [ell])
+
+    for ells in assignments(1, 0, []):
+        targets = {ell: rank for rank, ell in zip(ranks, ells)}
+        hits = feasible_configs(config.L, config.n, targets, limit=1)
+        if hits:
+            return hits[0]
+    return None
+
+
 class TestAutoConfiguration:
     def test_example1_auto_finds_reference_configuration(self):
         cfg = ExperimentConfig(
@@ -106,6 +130,30 @@ class TestAutoConfiguration:
         with pytest.raises(ValueError):
             resolve_configuration(cfg)
 
+    def test_wide8_schedule(self):
+        cfg = ExperimentConfig(
+            label="wide8", L=8, n=10, rows=40, cols=600, rank=40,
+            phases=((4, 20), (12, 30), (24, 30), (40, 420)), configuration=None,
+        )
+        assert resolve_configuration(cfg).k == (4, 0, 0, 8, 0, 12, 0, 16)
+
+    def test_matches_exhaustive_assignment_scan(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            L, n = rng.randint(1, 5), rng.randint(1, 6)
+            count = rng.randint(1, min(4, n * L + 2))
+            ranks = sorted(rng.sample(range(1, n * L + 3), count))
+            cfg = ExperimentConfig(
+                label="auto", L=L, n=n,
+                phases=tuple((rank, 5) for rank in ranks), configuration=None,
+            )
+            want = scan_resolve(cfg)
+            if want is None:
+                with pytest.raises(ValueError):
+                    resolve_configuration(cfg)
+            else:
+                assert resolve_configuration(cfg) == want, (L, n, ranks)
+
 
 class TestTraceIO:
     def test_roundtrip_exact(self, tmp_path):
@@ -126,6 +174,14 @@ class TestTraceIO:
         path.write_text("nope,nope\n1,2\n")
         with pytest.raises(ValueError):
             read_trace_csv(path)
+
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("earlier trace\n")
+        with pytest.raises(csv.Error):
+            write_trace_csv(path, [1])  # a row must be iterable
+        assert path.read_text() == "earlier trace\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 class TestRunExperiment:
@@ -154,6 +210,26 @@ class TestRunExperiment:
         lines = summary.lines()
         assert "  speedup: not reached" in lines
         assert not any("nan" in line for line in lines)
+
+    def test_zero_latency_summary_has_no_speedup(self, tmp_path, custom_config_file):
+        text = custom_config_file.read_text()
+        custom_config_file.write_text(
+            text.replace("kind = exponential\nrate = 1.0", "kind = deterministic\nvalue = 0")
+        )
+        config = parse_config_file(custom_config_file)
+        assert config.latency_model() == LatencyModel.deterministic(0.0)
+        summary = run_experiment(config, seed=7, replications=1,
+                                 output=tmp_path / "trace.csv")
+        assert summary.mean_time_sequential == summary.mean_time_baseline == 0.0
+        assert "  speedup: n/a" in summary.lines()
+
+    def test_summary_speedup_line(self):
+        summary = ExperimentSummary(
+            label="x", replications=2, threshold=1e-3, reached_sequential=2,
+            reached_baseline=2, mean_time_sequential=2.0, mean_time_baseline=3.0,
+            mean_final_suboptimality=1e-4, mean_final_suboptimality_baseline=1e-4,
+        )
+        assert "  speedup: 1.500x  (time saving 33.3%)" in summary.lines()
 
     def test_rows_sorted_and_cum_time_increasing(self, tmp_path, custom_config_file):
         config = parse_config_file(custom_config_file)
@@ -314,6 +390,42 @@ class TestCli:
         text = capsys.readouterr().out
         assert "speedup" in text
         assert "trace written" in text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            FAST_CUSTOM.replace("L = 4\n", ""),
+            FAST_CUSTOM.replace("phases = 6:10, 38:60\n", ""),
+            "L = 4\nn = 10\n",
+        ],
+        ids=["missing-L", "missing-phases", "no-section-header"],
+    )
+    def test_experiment_malformed_config_exit_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        out = tmp_path / "trace.csv"
+        code = main([
+            "experiment", "custom", "--config", str(bad), "--output", str(out),
+        ])
+        assert code == 2
+        assert "bad config file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_failure_keeps_earlier_output(self, tmp_path, capsys):
+        ini = tmp_path / "file.ini"
+        ini.write_text(FAST_CUSTOM.replace(
+            "source = designed",
+            f"source = file\nsource_path = {tmp_path / 'absent.npz'}",
+        ))
+        out = tmp_path / "trace.csv"
+        out.write_text("earlier trace\n")
+        code = main([
+            "experiment", "custom", "--config", str(ini), "--output", str(out),
+        ])
+        assert code == 3
+        assert "experiment failed" in capsys.readouterr().err
+        assert out.read_text() == "earlier trace\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_experiment_bad_config_no_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -53,7 +53,7 @@ class SeededRng:
     """Keyed deterministic RNG tree.
 
     A root seed plus a spawn-key path fully determines the stream, so any
-    substream (per replication, per round) is reproducible independently of
+    substream (per replication, per phase) is reproducible independently of
     draw order elsewhere.
     """
 

@@ -259,19 +259,8 @@ class RunTrace:
         return len(self.records)
 
     @property
-    def final_suboptimality(self) -> float:
-        return self.records[-1].suboptimality
-
-    @property
     def total_time(self) -> float:
         return self.records[-1].cum_time
-
-    def time_to(self, threshold: float) -> float | None:
-        """Simulated time of the first record at or below the threshold."""
-        for rec in self.records:
-            if rec.suboptimality <= threshold:
-                return rec.cum_time
-        return None
 
 
 def _as_rng(seed: "int | SeededRng") -> SeededRng:
@@ -296,6 +285,9 @@ def run_sequential(
     plain ISTA on the rank-r problem; the final phase is exact when its rank
     equals the full rank.  Per iteration the simulated cost is T_(ell(r)),
     doubled when ``charge_second_round`` also bills the transpose round.
+    Latencies do not depend on the iterate, so phase p draws its rounds one
+    after another from one stream, ``rng.spawn(p, 0)``, and its transpose
+    rounds from ``rng.spawn(p, 1)``.
     """
     svd = svd if svd is not None else SvdFactors.from_matrix(problem.F)
     if x_star is None:
@@ -312,12 +304,14 @@ def run_sequential(
     for phase_idx, phase in enumerate(schedule.phases, start=1):
         step = 1.0 / float(truncate_svd(svd, phase.rank).sigma[0] ** 2)
         offset = svd.gradient_offset(problem.b, phase.rank)
+        clock = rng.spawn(phase_idx, 0)
+        second_clock = rng.spawn(phase_idx, 1)
         for _ in range(phase.iterations):
             k += 1
-            g, elapsed = sequential_matvec(x, phase, system, model, rng.spawn(k, 0))
+            g, elapsed = sequential_matvec(x, phase, system, model, clock)
             if charge_second_round:
                 second, _ = simulate_wait(
-                    model, schedule.config.L, phase.ell, rng.spawn(k, 1)
+                    model, schedule.config.L, phase.ell, second_clock
                 )
                 elapsed += second
             x = soft_threshold(x - step * (g - offset), step * problem.gamma)

@@ -4,6 +4,7 @@ import pytest
 from codedseq.cluster import (
     LatencyModel,
     SeededRng,
+    RoundOutcome,
     order_stat_mean,
     sample_round,
     simulate_wait,
@@ -135,3 +136,63 @@ class TestSimulateWait:
     def test_tie_break_by_worker_index(self):
         out = sample_round(LatencyModel.deterministic(2.0), 4, SeededRng(0))
         assert out.responders(2) == (1, 2)
+
+
+LAWS = [
+    LatencyModel.exponential(2.0),
+    LatencyModel.shifted_exponential(shift=0.5, rate=1.5),
+    LatencyModel.deterministic(0.7),
+]
+
+
+def phase_times(model, rounds, L, rng):
+    """A phase's finish times as one (rounds, L) draw on the stream."""
+    if model.kind == "deterministic":
+        return np.full((rounds, L), model.value)
+    return model.shift - np.log(1.0 - rng.generator.random((rounds, L))) / model.rate
+
+
+class TestPhaseStream:
+    """Successive rounds drawn from one stream, as run_sequential draws a phase."""
+
+    @pytest.mark.parametrize("model", LAWS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("L", [1, 4, 7])
+    def test_rounds_match_one_phase_draw(self, model, L):
+        rounds = 50
+        times = phase_times(model, rounds, L, SeededRng(21).spawn(L))
+        for ell in range(1, L + 1):
+            clock = SeededRng(21).spawn(L)
+            for row in times:
+                out = RoundOutcome(finish_times=row, order=np.argsort(row, kind="stable"))
+                elapsed, responders = simulate_wait(model, L, ell, clock)
+                assert elapsed == out.elapsed(ell)
+                assert responders == out.responders(ell)
+                assert all(type(w) is int for w in responders)
+
+    def test_same_stream_identical(self):
+        m = LatencyModel.exponential(1.0)
+
+        def phase(*key):
+            clock = SeededRng(3).spawn(*key)
+            return [simulate_wait(m, 6, 4, clock) for _ in range(200)]
+
+        assert phase(1, 0) == phase(1, 0)
+        assert phase(1, 0) != phase(1, 1)
+
+    def test_mean_matches_order_statistic(self):
+        m = LatencyModel.exponential(1.0)
+        clock = SeededRng(124)
+        n = 20000
+        samples = np.array([sample_round(m, 4, clock).sorted_times for _ in range(n)])
+        for ell in range(1, 5):
+            col = samples[:, ell - 1]
+            stderr = col.std(ddof=1) / np.sqrt(n)
+            assert abs(col.mean() - order_stat_mean(m, 4, ell)) <= 3 * stderr
+
+    def test_rejects_bad_sizes(self):
+        m = LatencyModel.exponential(1.0)
+        with pytest.raises(ValueError):
+            simulate_wait(m, 0, 1, SeededRng(0))
+        for ell in (0, 5):
+            with pytest.raises(ValueError):
+                simulate_wait(m, 4, ell, SeededRng(0))

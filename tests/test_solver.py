@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import spectral_norm_power
 
-from codedseq.cluster import LatencyModel, SeededRng
+from codedseq.cluster import LatencyModel, SeededRng, simulate_wait
 from codedseq.feasibility import Configuration
 from codedseq.problems import designed_problem
 from codedseq.solver import (
@@ -230,6 +232,23 @@ class TestSequentialMatvec:
         g12, _ = sequential_matvec(2.0 * x1 + x2, phase, system, model, SeededRng(0))
         np.testing.assert_allclose(g12, 2.0 * g1 + g2, rtol=1e-9, atol=1e-11)
 
+    @pytest.mark.parametrize("rank,ell", [(1, 1), (3, 2), (6, 3)])
+    def test_every_responder_set_on_one_stream(self, rank, ell):
+        problem, svd, cfg, system = tiny_coded_setup(5)
+        phase = Phase(rank=rank, iterations=1, ell=ell)
+        model = LatencyModel.exponential(1.0)
+        x = np.random.default_rng(7).standard_normal(15)
+        Fr = truncate_svd(svd, rank).dense()
+        clock, twin = SeededRng(6).spawn(ell), SeededRng(6).spawn(ell)
+        seen = set()
+        for _ in range(60):
+            g, elapsed = sequential_matvec(x, phase, system, model, clock)
+            want_elapsed, responders = simulate_wait(model, 3, ell, twin)
+            assert elapsed == want_elapsed
+            np.testing.assert_allclose(g, Fr.T @ (Fr @ x), rtol=1e-8, atol=1e-10)
+            seen.add(responders)
+        assert seen == set(combinations(range(1, 4), ell))
+
 
 def ista_reference_iterates(problem, iters):
     """Plain in-memory ISTA from zero, constant step 1/sigma_max^2."""
@@ -316,6 +335,47 @@ class TestRunSequential:
             svd=svd, x_star=np.zeros(15), charge_second_round=True,
         )
         assert two.total_time == pytest.approx(2 * one.total_time)
+
+    @pytest.mark.parametrize("charged", [False, True])
+    def test_round_times_follow_phase_streams(self, charged):
+        problem, svd, cfg, _ = tiny_coded_setup(13)
+        phases = (Phase(rank=3, iterations=6, ell=2), Phase(rank=6, iterations=5, ell=3))
+        model = LatencyModel.shifted_exponential(shift=0.2, rate=1.5)
+        trace = run_sequential(
+            problem, ApproxSchedule(config=cfg, phases=phases), model, SeededRng(4),
+            svd=svd, x_star=np.zeros(15), charge_second_round=charged,
+        )
+        want = []
+        for p, phase in enumerate(phases, start=1):
+            clock, second_clock = SeededRng(4).spawn(p, 0), SeededRng(4).spawn(p, 1)
+            for _ in range(phase.iterations):
+                t, _ = simulate_wait(model, 3, phase.ell, clock)
+                if charged:
+                    t += simulate_wait(model, 3, phase.ell, second_clock)[0]
+                want.append(t)
+        assert [rec.iter_time for rec in trace.records] == want
+
+    def test_clock_builds_two_streams_per_phase(self, monkeypatch):
+        builds = []
+        generator = SeededRng.generator
+
+        def counting(rng):
+            if rng._gen is None:
+                builds.append(rng._key)
+            return generator.fget(rng)
+
+        monkeypatch.setattr(SeededRng, "generator", property(counting))
+        problem, svd, cfg, _ = tiny_coded_setup(14)
+        sched = ApproxSchedule(
+            config=cfg,
+            phases=(Phase(rank=3, iterations=6, ell=2), Phase(rank=6, iterations=5, ell=3)),
+        )
+        trace = run_sequential(
+            problem, sched, LatencyModel.exponential(1.0), SeededRng(5).spawn(0, 1),
+            svd=svd, x_star=np.zeros(15), charge_second_round=True,
+        )
+        assert len(trace) == 11
+        assert sorted(builds) == [(0, 1, 1, 0), (0, 1, 1, 1), (0, 1, 2, 0), (0, 1, 2, 1)]
 
     def test_phase_objective_descends(self):
         rng = SeededRng(77)

@@ -93,14 +93,14 @@ class RoundOutcome:
         L = len(self.finish_times)
         if not 1 <= ell <= L:
             raise ValueError(f"ell={ell} outside 1..{L}")
-        return float(self.sorted_times[ell - 1])
+        return float(self.finish_times[self.order[ell - 1]])
 
     def responders(self, ell: int) -> tuple[int, ...]:
         """Worker ids (1-based) of the ell earliest finishers, sorted."""
         L = len(self.finish_times)
         if not 1 <= ell <= L:
             raise ValueError(f"ell={ell} outside 1..{L}")
-        return tuple(sorted(int(w) + 1 for w in self.order[:ell]))
+        return tuple(sorted(w + 1 for w in self.order[:ell].tolist()))
 
 
 def sample_round(model: LatencyModel, L: int, rng: SeededRng) -> RoundOutcome:

@@ -280,11 +280,12 @@ def run_sequential(
 ) -> RunTrace:
     """Run the phased solver through the coded cluster simulation.
 
-    The iterate carries over at phase boundaries.  Phase r uses the step
-    1/sigma_1(F_(r))^2 and the truncated offset F_(r)^T b, so each phase is
-    plain ISTA on the rank-r problem; the final phase is exact when its rank
-    equals the full rank.  Per iteration the simulated cost is T_(ell(r)),
-    doubled when ``charge_second_round`` also bills the transpose round.
+    The iterate carries over at phase boundaries.  Every phase uses the step
+    1/sigma_1(F)^2 (a truncation keeps the top singular value) and phase r
+    the truncated offset F_(r)^T b, so each phase is plain ISTA on the rank-r
+    problem; the final phase is exact when its rank equals the full rank.
+    Per iteration the simulated cost is T_(ell(r)), doubled when
+    ``charge_second_round`` also bills the transpose round.
     Latencies do not depend on the iterate, so phase p draws its rounds one
     after another from one stream, ``rng.spawn(p, 0)``, and its transpose
     rounds from ``rng.spawn(p, 1)``.
@@ -301,8 +302,8 @@ def run_sequential(
     k = 0
     trace = RunTrace(iterates=[] if keep_iterates else None)
     cum = 0.0
+    step = 1.0 / float(svd.sigma[0] ** 2)
     for phase_idx, phase in enumerate(schedule.phases, start=1):
-        step = 1.0 / float(truncate_svd(svd, phase.rank).sigma[0] ** 2)
         offset = svd.gradient_offset(problem.b, phase.rank)
         clock = rng.spawn(phase_idx, 0)
         second_clock = rng.spawn(phase_idx, 1)
@@ -397,13 +398,21 @@ def reference_solution(
 ) -> tuple[np.ndarray, float]:
     """Exact-matrix proximal gradient run to an optimality residual <= tol.
 
+    Proximal gradient finds the support S and signs s of the optimum long
+    before it converges.  So every ``check_every`` iterations whose residual
+    is above tol also try the point that solves the stationarity equations on
+    the iterate's support, (F_S^T F_S) z = F_S^T b - gamma s, zero elsewhere.
+    That point is returned only if it passes the same residual test; if not
+    (wrong support, singular F_S^T F_S), ISTA goes on from its own iterate.
+
     Returns (x_star, residual).  Raises if the cap is hit first.
     """
     F, b, gamma = problem.F, problem.b, problem.gamma
-    sigma_max = float(np.linalg.svd(F, compute_uv=False)[0])
-    if sigma_max == 0.0:
+    gram = F @ F.T if problem.rows <= problem.cols else F.T @ F
+    sigma_max_sq = float(np.linalg.eigvalsh(gram)[-1])
+    if sigma_max_sq <= 0.0:
         return np.zeros(problem.cols), 0.0
-    t = 1.0 / sigma_max**2
+    t = 1.0 / sigma_max_sq
     h = F.T @ b
     x = np.zeros(problem.cols)
     for k in range(1, max_iter + 1):
@@ -412,6 +421,21 @@ def reference_solution(
             res = optimality_residual(problem, x)
             if res <= tol:
                 return x, res
+            support = np.flatnonzero(x)
+            if not 0 < support.size <= problem.rows:
+                continue
+            F_S = F[:, support]
+            try:
+                z = np.linalg.solve(
+                    F_S.T @ F_S, F_S.T @ b - gamma * np.sign(x[support])
+                )
+            except np.linalg.LinAlgError:
+                continue
+            candidate = np.zeros(problem.cols)
+            candidate[support] = z
+            res = optimality_residual(problem, candidate)
+            if res <= tol:
+                return candidate, res
     res = optimality_residual(problem, x)
     if res <= tol:
         return x, res

@@ -165,6 +165,7 @@ class TestPhaseStream:
             for row in times:
                 out = RoundOutcome(finish_times=row, order=np.argsort(row, kind="stable"))
                 elapsed, responders = simulate_wait(model, L, ell, clock)
+                assert type(elapsed) is float
                 assert elapsed == out.elapsed(ell)
                 assert responders == out.responders(ell)
                 assert all(type(w) is int for w in responders)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import spectral_norm_power
 
+import codedseq.solver as solver_module
 from codedseq.cluster import LatencyModel, SeededRng, simulate_wait
 from codedseq.feasibility import Configuration
-from codedseq.problems import designed_problem
+from codedseq.problems import designed_problem, gaussian_problem
 from codedseq.solver import (
     ApproxSchedule,
     CodedMatvecSystem,
@@ -499,6 +500,105 @@ class TestReferenceSolution:
         prob = small_problem(32, gamma=0.5)
         with pytest.raises(RuntimeError):
             reference_solution(prob, max_iter=3)
+
+    @pytest.mark.parametrize(
+        "seed, shape",
+        [(s, (38, 500)) for s in range(20)] + [(100, (60, 1500))],
+    )
+    def test_certified_planted_optimum(self, seed, shape):
+        rows, cols = shape
+        designed = designed_problem(SeededRng(seed).spawn(0, 0), rows=rows, cols=cols)
+        x, res = reference_solution(designed.problem)
+        assert res <= 1e-10
+        assert optimality_residual(designed.problem, x) == res
+        x_opt = designed.planted_optimum
+        assert np.linalg.norm(x - x_opt) / np.linalg.norm(x_opt) <= 1e-8
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        inner = getattr(solver_module, name)
+
+        def counting(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(solver_module, name, counting)
+        return calls
+
+    def test_every_check_gives_same_point(self, monkeypatch):
+        problem = designed_problem(SeededRng(0).spawn(0, 0)).problem
+        x50, _ = reference_solution(problem)
+        iters = self.count_calls(monkeypatch, "soft_threshold")
+        residuals = self.count_calls(monkeypatch, "optimality_residual")
+        x1, res = reference_solution(problem, check_every=1)
+        assert res <= 1e-10
+        assert np.linalg.norm(x1 - x50) / np.linalg.norm(x50) <= 1e-8
+        # one residual per iterate, plus one per support candidate tried:
+        # every early support was solved, rejected, and ISTA went on
+        assert len(iters) > 1
+        assert len(residuals) - len(iters) >= 2
+
+    def test_singular_support_gram_rejected(self, monkeypatch):
+        # columns 0 and 1 are equal, so ISTA keeps both on the support and
+        # F_S^T F_S is exactly singular; ISTA alone must reach the residual
+        rng = np.random.default_rng(2)
+        F = rng.integers(-3, 4, size=(5, 8)).astype(float)
+        F[:, 1] = F[:, 0]
+        x0 = np.zeros(8)
+        x0[[0, 1, 4]] = [2.0, 2.0, -1.0]
+        problem = LassoProblem(F=F, b=F @ x0, gamma=0.5)
+        singular = []
+        solve = np.linalg.solve
+
+        def recording(A, y):
+            try:
+                return solve(A, y)
+            except np.linalg.LinAlgError:
+                singular.append(A)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        x, res = reference_solution(problem)
+        assert singular
+        assert res <= 1e-10
+        assert optimality_residual(problem, x) == res
+        assert x[0] > 0.0
+        np.testing.assert_allclose(x[0], x[1], rtol=1e-12)
+
+    def test_wide_support_not_solved(self, monkeypatch):
+        # early ISTA iterates on a gaussian instance carry more than `rows`
+        # nonzeros, which no lasso optimum of full-row-rank F does; solving
+        # on such a support (up to 157 x 157 here) is wasted work
+        problem = gaussian_problem(SeededRng(0), rows=38, cols=500, gamma=1.0)
+        widths = []
+        residual = solver_module.optimality_residual
+
+        def recording(prob, x):
+            widths.append(np.count_nonzero(x))
+            return residual(prob, x)
+
+        sizes = []
+        solve = np.linalg.solve
+
+        def sized(A, y):
+            sizes.append(A.shape[0])
+            return solve(A, y)
+
+        monkeypatch.setattr(solver_module, "optimality_residual", recording)
+        monkeypatch.setattr(np.linalg, "solve", sized)
+        x, res = reference_solution(problem)
+        assert res <= 1e-10
+        assert max(widths) > problem.rows
+        assert sizes and max(sizes) <= problem.rows
+
+    def test_example1_instance_returns_early(self, monkeypatch):
+        # plain ISTA needs about 1,000 iterations on this instance
+        problem = designed_problem(SeededRng(0).spawn(0, 0)).problem
+        iters = self.count_calls(monkeypatch, "soft_threshold")
+        _, res = reference_solution(problem)
+        assert res <= 1e-10
+        assert len(iters) <= 200
 
 
 class TestOptimalityResidual:

@@ -6,7 +6,8 @@ expanded with a systematic MDS code whose parity part is a Cauchy matrix, and
 the coded rows are dealt across the L workers so that any ell responders
 jointly determine levels 1..ell.  Encoding, decoding and the row dump all read
 that layout.  Decoding from a responder set is one product with a decode
-matrix built the first time that set responds.
+matrix built the first time that set responds.  Products with a large matrix
+read only the columns on the vector's support (``support_product``).
 """
 from __future__ import annotations
 
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 MDS_CHECK_LIMIT = 12  # exhaustive submatrix check is O(C(rows_out, rows_in))
+
+# support_product gates; see its docstring for the measurements behind them
+SUPPORT_MIN_ENTRIES = 1 << 16
+SUPPORT_COLS_PER_NONZERO = 16
 
 
 class InfeasibleConfiguration(ValueError):
@@ -271,6 +276,28 @@ def encode_all(src: SourceMatrices, cfg: Configuration) -> list[WorkerMatrix]:
     ]
 
 
+def support_product(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A @ z, reading only the columns of A on the support of z when that pays.
+
+    Lasso iterates are sparse: an optimum of a full-row-rank F has at most
+    ``rows`` nonzeros.  The restricted product ``A[:, S] @ z[S]`` with
+    S = {j : z_j != 0} is used only when A has at least SUPPORT_MIN_ENTRIES
+    entries and SUPPORT_COLS_PER_NONZERO * |S| <= cols; otherwise the result
+    is exactly ``A @ z``.  Full -> restricted product, one BLAS thread on a
+    2-core Xeon VM, |S| = 9: 38x500 3.4 -> 6.1 us, 64x1000 10.8 -> 8.1 us,
+    40x5000 45 -> 11 us, 150x5000 292 -> 16 us.  The column gather loses as
+    the support fills: 40x5000 with |S| = cols/16 31 -> 24 us, with
+    |S| = cols/4 45 -> 108 us.  Entries equal to -0.0 count as zero; a NaN
+    on the support propagates.
+    """
+    if A.size >= SUPPORT_MIN_ENTRIES:
+        z = np.asarray(z)
+        support = np.flatnonzero(z != 0)
+        if SUPPORT_COLS_PER_NONZERO * support.size <= A.shape[1]:
+            return A[:, support] @ z[support]
+    return A @ z
+
+
 def worker_multiply(worker: WorkerMatrix, z: np.ndarray) -> WorkerResult:
     """One worker's subtask: multiply its stored rows by z."""
     z = np.asarray(z, dtype=float)
@@ -279,7 +306,9 @@ def worker_multiply(worker: WorkerMatrix, z: np.ndarray) -> WorkerResult:
             f"vector of shape {z.shape} does not match worker matrix "
             f"with {worker.rows.shape[1]} columns"
         )
-    return WorkerResult(worker_id=worker.worker_id, y=worker.rows @ z, tags=worker.tags)
+    return WorkerResult(
+        worker_id=worker.worker_id, y=support_product(worker.rows, z), tags=worker.tags
+    )
 
 
 def decode_prefix(

@@ -331,7 +331,7 @@ def run_experiment(
             raise RuntimeError(
                 f"replication {rep}: problem rank {svd.rank} != {config.rank}"
             )
-        x_star, _ = reference_solution(problem)
+        x_star, _ = reference_solution(problem, svd=svd)
         base = run_baseline(
             problem, config.L, config.n, model, root.spawn(rep, 2),
             config.baseline_iterations, svd=svd, x_star=x_star,

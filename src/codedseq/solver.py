@@ -14,7 +14,14 @@ from typing import Sequence
 import numpy as np
 
 from .cluster import LatencyModel, SeededRng, simulate_wait
-from .codec import SourceMatrices, WorkerMatrix, decode_prefix, encode_all, worker_multiply
+from .codec import (
+    SourceMatrices,
+    WorkerMatrix,
+    decode_prefix,
+    encode_all,
+    support_product,
+    worker_multiply,
+)
 from .feasibility import Configuration, check_feasible
 
 __all__ = [
@@ -67,7 +74,7 @@ class LassoProblem:
         return self.F.shape[1]
 
     def objective(self, x: np.ndarray) -> float:
-        r = self.F @ x - self.b
+        r = support_product(self.F, x) - self.b
         return 0.5 * float(r @ r) + self.gamma * float(np.abs(x).sum())
 
 
@@ -292,7 +299,7 @@ def run_sequential(
     """
     svd = svd if svd is not None else SvdFactors.from_matrix(problem.F)
     if x_star is None:
-        x_star, _ = reference_solution(problem)
+        x_star, _ = reference_solution(problem, svd=svd)
     x_norm = float(np.linalg.norm(x_star))
     denom = x_norm if x_norm > 0 else 1.0
     system = CodedMatvecSystem.setup(svd, schedule.config)
@@ -385,13 +392,14 @@ def subgradient_residual(g: np.ndarray, x: np.ndarray, gamma: float) -> float:
 
 def optimality_residual(problem: LassoProblem, x: np.ndarray) -> float:
     """Lasso optimality violation of x (0 at a minimiser)."""
-    g = problem.F.T @ (problem.F @ x - problem.b)
+    g = problem.F.T @ (support_product(problem.F, x) - problem.b)
     return subgradient_residual(g, x, problem.gamma)
 
 
 def reference_solution(
     problem: LassoProblem,
     *,
+    svd: SvdFactors | None = None,
     tol: float = 1e-10,
     max_iter: int = 10**6,
     check_every: int = 50,
@@ -404,19 +412,24 @@ def reference_solution(
     the iterate's support, (F_S^T F_S) z = F_S^T b - gamma s, zero elsewhere.
     That point is returned only if it passes the same residual test; if not
     (wrong support, singular F_S^T F_S), ISTA goes on from its own iterate.
+    The step is 1/sigma_max(F)^2, taken from ``svd`` when the caller holds
+    the factors of F and from the smaller Gram matrix otherwise.
 
     Returns (x_star, residual).  Raises if the cap is hit first.
     """
     F, b, gamma = problem.F, problem.b, problem.gamma
-    gram = F @ F.T if problem.rows <= problem.cols else F.T @ F
-    sigma_max_sq = float(np.linalg.eigvalsh(gram)[-1])
+    if svd is not None:
+        sigma_max_sq = float(svd.sigma[0]) ** 2 if svd.rank else 0.0
+    else:
+        gram = F @ F.T if problem.rows <= problem.cols else F.T @ F
+        sigma_max_sq = float(np.linalg.eigvalsh(gram)[-1])
     if sigma_max_sq <= 0.0:
         return np.zeros(problem.cols), 0.0
     t = 1.0 / sigma_max_sq
     h = F.T @ b
     x = np.zeros(problem.cols)
     for k in range(1, max_iter + 1):
-        x = soft_threshold(x - t * (F.T @ (F @ x) - h), t * gamma)
+        x = soft_threshold(x - t * (F.T @ support_product(F, x) - h), t * gamma)
         if k % check_every == 0:
             res = optimality_residual(problem, x)
             if res <= tol:

@@ -3,15 +3,18 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import codedseq.codec as codec_module
 from codedseq.codec import (
     InfeasibleConfiguration,
     InsufficientResults,
     SourceMatrices,
+    WorkerMatrix,
     decode_prefix,
     dump_rows,
     encode_all,
     make_generator,
     make_layout,
+    support_product,
     worker_multiply,
 )
 from codedseq.feasibility import Configuration, check_feasible, row_count_s
@@ -229,6 +232,123 @@ class TestWorkerMultiply:
         workers = encode_all(random_source(cfg, 5, 1), cfg)
         with pytest.raises(ValueError):
             worker_multiply(workers[0], np.zeros(4))
+
+
+class GatherSpy(np.ndarray):
+    """A matrix that records whether a product gathered some of its columns."""
+
+    gathered = False
+
+    def __getitem__(self, key):
+        self.gathered = True
+        return np.asarray(self)[key]
+
+
+def spy(shape, seed):
+    A = np.random.default_rng(seed).standard_normal(shape).view(GatherSpy)
+    A.gathered = False
+    return A
+
+
+def sparse_vector(cols, nonzeros, seed):
+    rng = np.random.default_rng(seed)
+    z = np.zeros(cols)
+    z[rng.choice(cols, size=nonzeros, replace=False)] = rng.standard_normal(nonzeros)
+    return z
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+class TestSupportProduct:
+    # 15 x 4369 is one entry short of the size gate, 16 x 4096 exactly at it
+    @pytest.mark.parametrize("shape", [(38, 500), (6, 600), (40, 600), (15, 4369)])
+    def test_below_size_gate_is_plain_product(self, shape):
+        A = spy(shape, 0)
+        z = sparse_vector(shape[1], 3, 1)
+        got = support_product(A, z)
+        assert not A.gathered
+        np.testing.assert_array_equal(np.asarray(got), np.asarray(A) @ z)
+
+    def test_dense_support_is_plain_product(self):
+        # 16 * 313 > 5000: the column gather would cost more than it saves
+        A = spy((40, 5000), 2)
+        z = sparse_vector(5000, 313, 3)
+        got = support_product(A, z)
+        assert not A.gathered
+        np.testing.assert_array_equal(np.asarray(got), np.asarray(A) @ z)
+
+    @pytest.mark.parametrize(
+        "shape, nonzeros", [((40, 5000), 312), ((16, 4096), 256), ((16, 4096), 1)]
+    )
+    def test_gates_are_inclusive(self, shape, nonzeros):
+        A = spy(shape, 4)
+        z = sparse_vector(shape[1], nonzeros, 5)
+        got = support_product(A, z)
+        assert A.gathered
+        assert_close(np.asarray(got), np.asarray(A) @ z)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_supports_match_product(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = [(40, 5000), (150, 5000), (64, 1024), (60, 1500)][seed % 4]
+        A = rng.standard_normal((rows, cols))
+        z = sparse_vector(cols, int(rng.integers(1, cols // 16 + 1)), seed + 100)
+        got = support_product(A, z)
+        assert got.shape == (rows,)
+        assert_close(got, A @ z)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_vector_gives_zeros(self, zero):
+        A = np.random.default_rng(6).standard_normal((40, 5000))
+        got = support_product(A, np.full(5000, zero))
+        assert got.shape == (40,)
+        np.testing.assert_array_equal(got, np.zeros(40))
+
+    def test_nan_on_support_propagates(self):
+        A = np.random.default_rng(7).standard_normal((40, 5000))
+        z = sparse_vector(5000, 9, 8)
+        z[np.flatnonzero(z)[4]] = np.nan
+        assert np.isnan(support_product(A, z)).all()
+
+    def test_negative_zeros_are_off_support(self):
+        # counted as nonzeros, the 4,991 entries of -0.0 would fail the
+        # density gate and force the full product
+        A = spy((40, 5000), 9)
+        z = sparse_vector(5000, 9, 10)
+        z[z == 0] = -0.0
+        got = support_product(A, z)
+        assert A.gathered
+        assert_close(np.asarray(got), np.asarray(A) @ z)
+
+    def test_size_gate_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(codec_module, "SUPPORT_MIN_ENTRIES", np.iinfo(np.int64).max)
+        A = spy((40, 5000), 11)
+        z = sparse_vector(5000, 9, 12)
+        got = support_product(A, z)
+        assert not A.gathered
+        np.testing.assert_array_equal(np.asarray(got), np.asarray(A) @ z)
+
+    def test_wide_worker_matches_rows_product(self):
+        # the bigf layout: each worker (n = 40) stores 38-39 coded rows of 5,000
+        cfg = Configuration(L=4, n=40, k=(0, 0, 10, 140))
+        src = random_source(cfg, 5000, 13)
+        workers = encode_all(src, cfg)
+        assert [w.rows.shape for w in workers] == [(39, 5000)] * 2 + [(38, 5000)] * 2
+        z = sparse_vector(5000, 9, 14)
+        results = []
+        for w in workers:
+            rows = w.rows.view(GatherSpy)
+            rows.gathered = False
+            res = worker_multiply(WorkerMatrix(w.worker_id, rows, w.tags), z)
+            assert rows.gathered
+            assert_close(np.asarray(res.y), w.rows @ z)
+            results.append(res)
+        for level, block in enumerate(decode_prefix(results, cfg), start=1):
+            if block.size:
+                assert_close(block, src.matrices[level - 1] @ z, rtol=1e-10)
 
 
 class TestDecode:

@@ -251,6 +251,18 @@ class TestRunExperiment:
         run_experiment(config, seed=11, replications=2, output=out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_reference_takes_sigma_max_from_held_factors(
+        self, tmp_path, custom_config_file, monkeypatch
+    ):
+        def unused(*args):
+            raise AssertionError("the replication's SVD already holds sigma_max")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+        config = parse_config_file(custom_config_file)
+        summary = run_experiment(config, seed=7, replications=1,
+                                 output=tmp_path / "trace.csv")
+        assert summary.replications == 1
+
     def test_different_seed_differs(self, tmp_path, custom_config_file):
         config = parse_config_file(custom_config_file)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

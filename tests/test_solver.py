@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import spectral_norm_power
 
+import codedseq.codec as codec_module
 import codedseq.solver as solver_module
 from codedseq.cluster import LatencyModel, SeededRng, simulate_wait
 from codedseq.feasibility import Configuration
@@ -423,6 +424,40 @@ class TestRunSequential:
         g = Fr.T @ (Fr @ x - problem.b)
         assert subgradient_residual(g, x, problem.gamma) <= 1e-8
 
+    def test_support_products_leave_trace_unchanged(self, monkeypatch):
+        # F (60 x 1500) and every worker (45 x 1500) pass the size gate, so
+        # the worker products, objective and reference read only the support
+        designed = designed_problem(SeededRng(5).spawn(0, 0), rows=60, cols=1500)
+        problem = designed.problem
+        svd = SvdFactors.from_matrix(problem.F)
+        cfg = Configuration(L=4, n=45, k=(30, 30, 0, 0))
+        sched = ApproxSchedule.build(cfg, [(20, 40), (60, 60)])
+        system = CodedMatvecSystem.setup(svd, cfg)
+        assert problem.F.size >= codec_module.SUPPORT_MIN_ENTRIES
+        assert all(w.rows.size >= codec_module.SUPPORT_MIN_ENTRIES for w in system.workers)
+
+        def run():
+            x_star, res = reference_solution(problem, svd=svd)
+            assert res <= 1e-10
+            x_opt = designed.planted_optimum
+            assert np.linalg.norm(x_star - x_opt) / np.linalg.norm(x_opt) <= 1e-8
+            return run_sequential(
+                problem, sched, LatencyModel.exponential(1.0), SeededRng(6),
+                svd=svd, x_star=x_star, keep_iterates=True,
+            )
+
+        sparse = run()
+        nonzeros = max(np.count_nonzero(x) for x in sparse.iterates)
+        assert codec_module.SUPPORT_COLS_PER_NONZERO * nonzeros <= problem.cols
+        monkeypatch.setattr(codec_module, "SUPPORT_MIN_ENTRIES", np.iinfo(np.int64).max)
+        dense = run()
+        assert len(sparse) == len(dense) == 100
+        for a, b in zip(sparse.records, dense.records):
+            assert (a.iteration, a.phase, a.iter_time, a.cum_time) == (
+                b.iteration, b.phase, b.iter_time, b.cum_time)
+            assert abs(a.objective - b.objective) <= 1e-12 * abs(b.objective)
+            assert abs(a.suboptimality - b.suboptimality) <= 1e-12
+
 
 class TestBaseline:
     def test_uses_cheapest_single_level(self):
@@ -591,6 +626,28 @@ class TestReferenceSolution:
         assert res <= 1e-10
         assert max(widths) > problem.rows
         assert sizes and max(sizes) <= problem.rows
+
+    def test_caller_factors_replace_gram_spectrum(self, monkeypatch):
+        problem = designed_problem(SeededRng(3).spawn(0, 0)).problem
+        svd = SvdFactors.from_matrix(problem.F)
+        x_gram, _ = reference_solution(problem)
+
+        def unused(*args):
+            raise AssertionError("sigma_max is known from the caller's factors")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+        x, res = reference_solution(problem, svd=svd)
+        assert res <= 1e-10
+        assert optimality_residual(problem, x) == res
+        assert np.linalg.norm(x - x_gram) / np.linalg.norm(x_gram) <= 1e-8
+
+    def test_rank_zero_factors_give_zero(self):
+        problem = LassoProblem(F=np.zeros((4, 9)), b=np.ones(4), gamma=0.5)
+        svd = SvdFactors.from_matrix(problem.F)
+        assert svd.rank == 0
+        x, res = reference_solution(problem, svd=svd)
+        np.testing.assert_array_equal(x, np.zeros(9))
+        assert res == 0.0
 
     def test_example1_instance_returns_early(self, monkeypatch):
         # plain ISTA needs about 1,000 iterations on this instance

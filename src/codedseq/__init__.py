@@ -5,7 +5,7 @@ any ell of L workers determine the first ell blocks, simulates straggler
 latencies, and drives a sequential-approximation proximal-gradient lasso
 solver whose early phases use low-rank truncations served by fewer workers.
 """
-from .cluster import LatencyModel, RoundOutcome, SeededRng, order_stat_mean, sample_round, simulate_wait
+from .cluster import LatencyModel, SeededRng, order_stat_mean, sample_round, simulate_wait
 from .codec import (
     InfeasibleConfiguration,
     InsufficientResults,
@@ -39,7 +39,6 @@ from .problems import DesignedProblem, designed_problem, gaussian_problem
 from .solver import (
     ApproxSchedule,
     CodedMatvecSystem,
-    IterationRecord,
     LassoProblem,
     Phase,
     RunTrace,

@@ -7,7 +7,6 @@ import numpy as np
 
 __all__ = [
     "LatencyModel",
-    "RoundOutcome",
     "SeededRng",
     "sample_round",
     "order_stat_mean",
@@ -77,45 +76,16 @@ class SeededRng:
         return 1.0 - self.generator.random(size)
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
-    """Finish times of one computation round plus their arrival order."""
-
-    finish_times: np.ndarray
-    order: np.ndarray  # worker positions sorted by finish time, ties by index
-
-    @property
-    def sorted_times(self) -> np.ndarray:
-        return self.finish_times[self.order]
-
-    def elapsed(self, ell: int) -> float:
-        """The ell-th order statistic T_(ell)."""
-        L = len(self.finish_times)
-        if not 1 <= ell <= L:
-            raise ValueError(f"ell={ell} outside 1..{L}")
-        return float(self.finish_times[self.order[ell - 1]])
-
-    def responders(self, ell: int) -> tuple[int, ...]:
-        """Worker ids (1-based) of the ell earliest finishers, sorted."""
-        L = len(self.finish_times)
-        if not 1 <= ell <= L:
-            raise ValueError(f"ell={ell} outside 1..{L}")
-        return tuple(sorted(w + 1 for w in self.order[:ell].tolist()))
-
-
-def sample_round(model: LatencyModel, L: int, rng: SeededRng) -> RoundOutcome:
-    """Draw one round of L independent worker finish times."""
+def sample_round(model: LatencyModel, L: int, rng: SeededRng) -> np.ndarray:
+    """Draw one round of L independent worker finish times, shape (L,)."""
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     if model.kind == "deterministic":
-        times = np.full(L, model.value)
-    else:
-        u = rng.uniform_open_closed(L)
-        times = -np.log(u) / model.rate
-        if model.kind == "shifted-exponential":
-            times = model.shift + times
-    order = np.argsort(times, kind="stable")
-    return RoundOutcome(finish_times=times, order=order)
+        return np.full(L, model.value)
+    times = -np.log(rng.uniform_open_closed(L)) / model.rate
+    if model.kind == "shifted-exponential":
+        times = model.shift + times
+    return times
 
 
 def order_stat_mean(model: LatencyModel, L: int, ell: int) -> float:
@@ -133,6 +103,13 @@ def order_stat_mean(model: LatencyModel, L: int, ell: int) -> float:
 def simulate_wait(
     model: LatencyModel, L: int, ell_target: int, rng: SeededRng
 ) -> tuple[float, tuple[int, ...]]:
-    """Wait until ell_target workers finish; return (T_(ell), responder ids)."""
-    outcome = sample_round(model, L, rng)
-    return outcome.elapsed(ell_target), outcome.responders(ell_target)
+    """Wait until ell_target workers finish; return (T_(ell), responder ids).
+
+    The responder ids are 1-based and sorted; ties go to the lower index.
+    """
+    times = sample_round(model, L, rng)
+    if not 1 <= ell_target <= L:
+        raise ValueError(f"ell={ell_target} outside 1..{L}")
+    order = np.argsort(times, kind="stable")
+    responders = tuple(sorted((order[:ell_target] + 1).tolist()))
+    return float(times[order[ell_target - 1]]), responders

@@ -4,6 +4,7 @@ from __future__ import annotations
 import configparser
 import csv
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -136,8 +137,15 @@ def validate_experiment(config: ExperimentConfig) -> ApproxSchedule:
         )
     if config.source not in ("designed", "gaussian", "file"):
         raise ValueError(f"unknown problem source {config.source!r}")
-    if config.source == "file" and not config.source_path:
-        raise ValueError("source 'file' needs source_path")
+    if config.source == "file":
+        if not config.source_path:
+            raise ValueError("source 'file' needs source_path")
+        F, b = _load_source(config.source_path)
+        if F.shape != (config.rows, config.cols) or b.shape != (config.rows,):
+            raise ValueError(
+                f"source_path holds F {F.shape} and b {b.shape}, the config "
+                f"needs F ({config.rows}, {config.cols}) and b ({config.rows},)"
+            )
     if not config.phases:
         raise ValueError("schedule needs at least one phase")
     if config.rank > min(config.rows, config.cols):
@@ -152,6 +160,15 @@ def validate_experiment(config: ExperimentConfig) -> ApproxSchedule:
     return ApproxSchedule.build(cfg, config.phases)
 
 
+def _load_source(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """F and b from an .npz archive; any defect raises ValueError."""
+    try:
+        with np.load(path) as data:  # a lone .npy array is no context manager
+            return data["F"], data["b"]
+    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cannot read F and b from source_path {path!r}: {exc}") from exc
+
+
 def _build_problem(config: ExperimentConfig, rng: SeededRng) -> LassoProblem:
     if config.source == "designed":
         return designed_problem(
@@ -161,8 +178,8 @@ def _build_problem(config: ExperimentConfig, rng: SeededRng) -> LassoProblem:
         return gaussian_problem(
             rng, rows=config.rows, cols=config.cols, gamma=config.gamma
         )
-    data = np.load(config.source_path)
-    return LassoProblem(F=data["F"], b=data["b"], gamma=config.gamma)
+    F, b = _load_source(config.source_path)
+    return LassoProblem(F=F, b=b, gamma=config.gamma)
 
 
 def _fmt(v: float) -> str:
@@ -170,21 +187,10 @@ def _fmt(v: float) -> str:
 
 
 def trace_rows(run_id: str, algorithm: str, trace: RunTrace) -> list[list[str]]:
-    rows = []
-    for rec in trace.records:
-        rows.append(
-            [
-                run_id,
-                algorithm,
-                str(rec.iteration),
-                str(rec.phase),
-                _fmt(rec.iter_time),
-                _fmt(rec.cum_time),
-                _fmt(rec.objective),
-                _fmt(rec.suboptimality),
-            ]
-        )
-    return rows
+    columns = zip(trace.phase.tolist(), trace.iter_time.tolist(), trace.cum_time.tolist(),
+                  trace.objective.tolist(), trace.suboptimality.tolist())
+    return [[run_id, algorithm, str(k), str(phase), *map(_fmt, values)]
+            for k, (phase, *values) in enumerate(columns, start=1)]
 
 
 def write_trace_csv(path: "str | Path", rows: Iterable[list[str]]) -> None:
@@ -360,9 +366,25 @@ def parse_config_file(path: "str | Path") -> ExperimentConfig:
 
 
 def _read_config(path: "str | Path") -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
+    known = {
+        "cluster": {"l", "n"},
+        "latency": {"kind", "rate", "value", "shift"},
+        "problem": {"rows", "cols", "rank", "gamma", "source", "source_path"},
+        "schedule": {"phases", "baseline_iterations", "charge_second_round"},
+        "configuration": {"k"},
+        "summary": {"threshold"},
+    }
+    if parser.defaults():  # its keys would show up in every section
+        raise ValueError(f"unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in known:
+            raise ValueError(f"unknown section [{name}]")
+        unknown = sorted(set(parser[name]) - known[name])  # keys are lower-cased
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(unknown)} in [{name}]")
     sections = ("cluster", "latency", "problem", "schedule", "configuration")
     cluster, latency, problem, schedule, configuration = (parser[s] for s in sections)
 
@@ -377,27 +399,27 @@ def _read_config(path: "str | Path") -> ExperimentConfig:
     else:
         k = tuple(int(v) for v in k_raw.split(","))
 
-    summary_threshold = 1e-3
-    if parser.has_section("summary"):
-        summary_threshold = float(parser["summary"].get("threshold", "1e-3"))
-
+    default = ExperimentConfig(label="custom")
     return ExperimentConfig(
         label="custom",
         L=int(cluster["L"]),
         n=int(cluster["n"]),
-        latency_kind=latency.get("kind", "exponential"),
-        latency_rate=float(latency.get("rate", "1.0")),
-        latency_value=float(latency.get("value", "1.0")),
-        latency_shift=float(latency.get("shift", "0.0")),
-        rows=int(problem.get("rows", "38")),
-        cols=int(problem.get("cols", "500")),
-        rank=int(problem.get("rank", "38")),
-        gamma=float(problem.get("gamma", "5.0")),
-        source=problem.get("source", "designed"),
-        source_path=problem.get("source_path", None),
+        latency_kind=latency.get("kind", default.latency_kind),
+        latency_rate=latency.getfloat("rate", default.latency_rate),
+        latency_value=latency.getfloat("value", default.latency_value),
+        latency_shift=latency.getfloat("shift", default.latency_shift),
+        rows=problem.getint("rows", default.rows),
+        cols=problem.getint("cols", default.cols),
+        rank=problem.getint("rank", default.rank),
+        gamma=problem.getfloat("gamma", default.gamma),
+        source=problem.get("source", default.source),
+        source_path=problem.get("source_path", default.source_path),
         phases=tuple(phases),
         configuration=k,
-        baseline_iterations=int(schedule.get("baseline_iterations", "500")),
-        charge_second_round=schedule.getboolean("charge_second_round", fallback=False),
-        summary_threshold=summary_threshold,
+        baseline_iterations=schedule.getint(
+            "baseline_iterations", default.baseline_iterations),
+        charge_second_round=schedule.getboolean(
+            "charge_second_round", default.charge_second_round),
+        summary_threshold=parser.getfloat(
+            "summary", "threshold", fallback=default.summary_threshold),
     )

@@ -8,7 +8,7 @@ inner products, finish the product user-side).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "Phase",
     "ApproxSchedule",
     "CodedMatvecSystem",
-    "IterationRecord",
     "RunTrace",
     "soft_threshold",
     "truncate_svd",
@@ -234,8 +233,7 @@ def sequential_matvec(
     results = [
         worker_multiply(system.workers[w - 1], x) for w in responders
     ]
-    decoded = decode_prefix(results, system.config)
-    t = np.concatenate(decoded) if decoded else np.empty(0)
+    t = np.concatenate(decode_prefix(results, system.config))
     if t.shape[0] < phase.rank:
         raise RuntimeError(
             f"decoded {t.shape[0]} components, phase needs {phase.rank}"
@@ -245,29 +243,27 @@ def sequential_matvec(
     return g, elapsed
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    phase: int
-    iter_time: float
-    cum_time: float
-    objective: float
-    suboptimality: float
-
-
-@dataclass
+@dataclass(eq=False)
 class RunTrace:
-    """Per-iteration record of one simulated run."""
+    """Per-iteration columns of one simulated run; row k is iteration k + 1.
 
-    records: list[IterationRecord] = field(default_factory=list)
-    iterates: list[np.ndarray] | None = None
+    ``phase`` holds 1-based phase numbers.  ``iterates`` is the
+    (iterations, cols) array of iterates when the run keeps them.
+    """
+
+    phase: np.ndarray
+    iter_time: np.ndarray
+    objective: np.ndarray
+    suboptimality: np.ndarray
+    iterates: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.iter_time)
 
     @property
-    def total_time(self) -> float:
-        return self.records[-1].cum_time
+    def cum_time(self) -> np.ndarray:
+        """Running simulated time; accumulate adds in order, as a loop would."""
+        return np.cumsum(self.iter_time)
 
 
 def _as_rng(seed: "int | SeededRng") -> SeededRng:
@@ -305,17 +301,23 @@ def run_sequential(
     system = CodedMatvecSystem.setup(svd, schedule.config)
     rng = _as_rng(seed)
 
+    lengths = [phase.iterations for phase in schedule.phases]
+    total = sum(lengths)
+    trace = RunTrace(
+        phase=np.repeat(np.arange(1, len(lengths) + 1), lengths),
+        iter_time=np.empty(total),
+        objective=np.empty(total),
+        suboptimality=np.empty(total),
+        iterates=np.empty((total, problem.cols)) if keep_iterates else None,
+    )
     x = np.zeros(problem.cols)
     k = 0
-    trace = RunTrace(iterates=[] if keep_iterates else None)
-    cum = 0.0
     step = 1.0 / float(svd.sigma[0] ** 2)
     for phase_idx, phase in enumerate(schedule.phases, start=1):
         offset = svd.gradient_offset(problem.b, phase.rank)
         clock = rng.spawn(phase_idx, 0)
         second_clock = rng.spawn(phase_idx, 1)
         for _ in range(phase.iterations):
-            k += 1
             g, elapsed = sequential_matvec(x, phase, system, model, clock)
             if charge_second_round:
                 second, _ = simulate_wait(
@@ -323,19 +325,12 @@ def run_sequential(
                 )
                 elapsed += second
             x = soft_threshold(x - step * (g - offset), step * problem.gamma)
-            cum += elapsed
-            trace.records.append(
-                IterationRecord(
-                    iteration=k,
-                    phase=phase_idx,
-                    iter_time=elapsed,
-                    cum_time=cum,
-                    objective=problem.objective(x),
-                    suboptimality=float(np.linalg.norm(x - x_star)) / denom,
-                )
-            )
+            trace.iter_time[k] = elapsed
+            trace.objective[k] = problem.objective(x)
+            trace.suboptimality[k] = float(np.linalg.norm(x - x_star)) / denom
             if trace.iterates is not None:
-                trace.iterates.append(x.copy())
+                trace.iterates[k] = x
+            k += 1
     return trace
 
 

@@ -139,7 +139,7 @@ def test_criterion_4_order_statistic_means():
     root = SeededRng(777)
     samples = np.empty((n, 4))
     for r in range(n):
-        samples[r] = sample_round(model, 4, root.spawn(r)).sorted_times
+        samples[r] = np.sort(sample_round(model, 4, root.spawn(r)))
     mc_ok = True
     details = [f"analytic {np.round(analytic, 4).tolist()}"]
     for ell in range(1, 5):
@@ -241,8 +241,7 @@ def test_criterion_7_solver_fidelity():
         Fr = truncate_svd(svd, phase.rank).dense()
         vals = [
             0.5 * np.sum((Fr @ xk - problem.b) ** 2) + problem.gamma * np.abs(xk).sum()
-            for rec, xk in zip(trace2.records, trace2.iterates)
-            if rec.phase == idx
+            for xk in trace2.iterates[trace2.phase == idx]
         ]
         for a, b in zip(vals, vals[1:]):
             if b > a + 1e-9 * max(1.0, abs(a)):

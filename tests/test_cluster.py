@@ -4,7 +4,6 @@ import pytest
 from codedseq.cluster import (
     LatencyModel,
     SeededRng,
-    RoundOutcome,
     order_stat_mean,
     sample_round,
     simulate_wait,
@@ -29,35 +28,41 @@ class TestSeededRng:
 
 class TestSampleRound:
     def test_deterministic_model(self):
-        out = sample_round(LatencyModel.deterministic(1.0), 4, SeededRng(0))
-        np.testing.assert_array_equal(out.finish_times, np.ones(4))
-        assert all(out.elapsed(ell) == 1.0 for ell in range(1, 5))
+        m = LatencyModel.deterministic(1.0)
+        out = sample_round(m, 4, SeededRng(0))
+        np.testing.assert_array_equal(out, np.ones(4))
+        assert all(simulate_wait(m, 4, ell, SeededRng(0))[0] == 1.0 for ell in range(1, 5))
 
     def test_reproducible_draws(self):
         m = LatencyModel.exponential(1.0)
         a = sample_round(m, 4, SeededRng(5).spawn(1))
         b = sample_round(m, 4, SeededRng(5).spawn(1))
-        np.testing.assert_array_equal(a.finish_times, b.finish_times)
+        np.testing.assert_array_equal(a, b)
 
     def test_exponential_uses_inverse_cdf(self):
         rate = 2.5
         u = SeededRng(9).spawn(0).uniform_open_closed(4)
         out = sample_round(LatencyModel.exponential(rate), 4, SeededRng(9).spawn(0))
-        np.testing.assert_allclose(out.finish_times, -np.log(u) / rate)
+        assert out.shape == (4,)
+        np.testing.assert_allclose(out, -np.log(u) / rate)
 
     def test_shifted_exponential(self):
         m = LatencyModel.shifted_exponential(shift=0.5, rate=1.0)
         out = sample_round(m, 100, SeededRng(3))
-        assert np.all(out.finish_times >= 0.5)
+        assert np.all(out >= 0.5)
 
     def test_elapsed_nondecreasing(self):
-        out = sample_round(LatencyModel.exponential(1.0), 6, SeededRng(11))
-        elapsed = [out.elapsed(ell) for ell in range(1, 7)]
+        m = LatencyModel.exponential(1.0)
+        elapsed = [simulate_wait(m, 6, ell, SeededRng(11))[0] for ell in range(1, 7)]
         assert elapsed == sorted(elapsed)
+        assert elapsed == np.sort(sample_round(m, 6, SeededRng(11))).tolist()
 
     def test_order_is_permutation(self):
-        out = sample_round(LatencyModel.exponential(1.0), 6, SeededRng(4))
-        assert sorted(out.order.tolist()) == list(range(6))
+        # the responder sets of one round grow by one worker per ell, ending at all six
+        m = LatencyModel.exponential(1.0)
+        sets = [simulate_wait(m, 6, ell, SeededRng(4))[1] for ell in range(1, 7)]
+        assert sets[-1] == tuple(range(1, 7))
+        assert all(set(a) < set(b) for a, b in zip(sets, sets[1:]))
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -100,7 +105,7 @@ class TestOrderStatMean:
         n = 20000
         samples = np.empty((n, 4))
         for r in range(n):
-            samples[r] = sample_round(m, 4, root.spawn(r)).sorted_times
+            samples[r] = np.sort(sample_round(m, 4, root.spawn(r)))
         for ell in range(1, 5):
             col = samples[:, ell - 1]
             stderr = col.std(ddof=1) / np.sqrt(n)
@@ -113,7 +118,7 @@ class TestSimulateWait:
             LatencyModel.exponential(1.0), 4, 4, SeededRng(8).spawn(0)
         )
         out = sample_round(LatencyModel.exponential(1.0), 4, SeededRng(8).spawn(0))
-        assert elapsed == out.finish_times.max()
+        assert elapsed == out.max()
         assert responders == (1, 2, 3, 4)
 
     def test_wait_for_first(self):
@@ -121,21 +126,21 @@ class TestSimulateWait:
             LatencyModel.exponential(1.0), 4, 1, SeededRng(8).spawn(1)
         )
         out = sample_round(LatencyModel.exponential(1.0), 4, SeededRng(8).spawn(1))
-        assert elapsed == out.finish_times.min()
+        assert elapsed == out.min()
         assert len(responders) == 1
 
     def test_responders_exclude_slowest(self):
         rng = SeededRng(42).spawn(2)
         elapsed, responders = simulate_wait(LatencyModel.exponential(1.0), 4, 3, rng)
         out = sample_round(LatencyModel.exponential(1.0), 4, SeededRng(42).spawn(2))
-        slowest = int(np.argmax(out.finish_times)) + 1
+        slowest = int(np.argmax(out)) + 1
         assert slowest not in responders
         assert len(responders) == 3
-        assert elapsed == out.elapsed(3)
+        assert elapsed == np.sort(out)[2]
 
     def test_tie_break_by_worker_index(self):
-        out = sample_round(LatencyModel.deterministic(2.0), 4, SeededRng(0))
-        assert out.responders(2) == (1, 2)
+        _, responders = simulate_wait(LatencyModel.deterministic(2.0), 4, 2, SeededRng(0))
+        assert responders == (1, 2)
 
 
 LAWS = [
@@ -163,11 +168,11 @@ class TestPhaseStream:
         for ell in range(1, L + 1):
             clock = SeededRng(21).spawn(L)
             for row in times:
-                out = RoundOutcome(finish_times=row, order=np.argsort(row, kind="stable"))
+                first = np.sort(np.argsort(row, kind="stable")[:ell]) + 1
                 elapsed, responders = simulate_wait(model, L, ell, clock)
                 assert type(elapsed) is float
-                assert elapsed == out.elapsed(ell)
-                assert responders == out.responders(ell)
+                assert elapsed == np.sort(row)[ell - 1]
+                assert responders == tuple(first.tolist())
                 assert all(type(w) is int for w in responders)
 
     def test_same_stream_identical(self):
@@ -184,7 +189,7 @@ class TestPhaseStream:
         m = LatencyModel.exponential(1.0)
         clock = SeededRng(124)
         n = 20000
-        samples = np.array([sample_round(m, 4, clock).sorted_times for _ in range(n)])
+        samples = np.array([np.sort(sample_round(m, 4, clock)) for _ in range(n)])
         for ell in range(1, 5):
             col = samples[:, ell - 1]
             stderr = col.std(ddof=1) / np.sqrt(n)

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,19 @@ k = 0,0,6,32
 [summary]
 threshold = 0.05
 """
+
+
+def readme_config_text():
+    """The INI block of the README's "Custom experiment config" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Custom experiment config", 1)[1]
+    return section.split("```\n", 2)[1]
+
+
+def write_source(path, F, b=None):
+    arrays = {"F": F} if b is None else {"F": F, "b": b}
+    np.savez(path, **arrays)
+    return path
 
 
 @pytest.fixture()
@@ -308,6 +323,20 @@ class TestParseConfig:
         base_mean = np.mean([r["iter_time"] for r in base])
         assert seq_mean > 1.5 * base_mean
 
+    def test_readme_example(self, tmp_path):
+        # its values carry "; ..." inline comments
+        path = tmp_path / "readme.ini"
+        path.write_text(readme_config_text())
+        assert parse_config_file(path) == dataclasses.replace(
+            make_preset("example1"), label="custom")
+
+    def test_defaults_come_from_experiment_config(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[cluster]\nL = 3\nn = 7\n[latency]\n[problem]\n"
+                        "[schedule]\nphases = 3:5\n[configuration]\nk = 3,0,0\n")
+        assert parse_config_file(path) == ExperimentConfig(
+            label="custom", L=3, n=7, phases=((3, 5),), configuration=(3, 0, 0))
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[cluster]\nL = 4\nn = 10\n")
@@ -424,11 +453,14 @@ class TestCli:
         assert not out.exists()
 
     def test_runtime_failure_keeps_earlier_output(self, tmp_path, capsys):
+        # F has the configured shape but rank 37, which the run finds only
+        # after its SVD
+        F = np.random.default_rng(0).standard_normal((38, 500))
+        F[-1] = F[0]
+        npz = write_source(tmp_path / "rank37.npz", F, np.ones(38))
         ini = tmp_path / "file.ini"
         ini.write_text(FAST_CUSTOM.replace(
-            "source = designed",
-            f"source = file\nsource_path = {tmp_path / 'absent.npz'}",
-        ))
+            "source = designed", f"source = file\nsource_path = {npz}"))
         out = tmp_path / "trace.csv"
         out.write_text("earlier trace\n")
         code = main([
@@ -438,6 +470,61 @@ class TestCli:
         assert "experiment failed" in capsys.readouterr().err
         assert out.read_text() == "earlier trace\n"
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "old,new,name",
+        [
+            ("rate = 1.0", "valeu = 0.25", "valeu"),
+            ("baseline_iterations = 80", "baseline_iteration = 30", "baseline_iteration"),
+            ("[summary]", "[sumary]", "[sumary]"),
+            ("[cluster]", "[DEFAULT]\nrows = 38\n[cluster]", "[DEFAULT]"),
+        ],
+        ids=["latency-key", "schedule-key", "section", "default-section"],
+    )
+    def test_experiment_unknown_key_exit_2(self, tmp_path, capsys, old, new, name):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(FAST_CUSTOM.replace(old, new))
+        out = tmp_path / "trace.csv"
+        code = main([
+            "experiment", "custom", "--config", str(bad), "--output", str(out),
+        ])
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_example_runs(self, tmp_path, capsys):
+        ini = tmp_path / "readme.ini"
+        ini.write_text(readme_config_text())
+        out = tmp_path / "trace.csv"
+        code = main([
+            "experiment", "custom", "--config", str(ini), "--seed", "1",
+            "--replications", "1", "--output", str(out),
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert len(read_trace_csv(out)) == 500 + 430
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda d: d / "absent.npz",
+            lambda d: write_source(d / "no_b.npz", np.ones((38, 500))),
+            lambda d: write_source(d / "wide.npz", np.ones((38, 501)), np.ones(38)),
+            lambda d: write_source(d / "short_b.npz", np.ones((38, 500)), np.ones(37)),
+            lambda d: np.save(d / "plain.npy", np.ones((38, 500))) or d / "plain.npy",
+        ],
+        ids=["missing-file", "missing-b", "wrong-F-shape", "wrong-b-shape", "not-npz"],
+    )
+    def test_experiment_bad_source_file_exit_2(self, tmp_path, capsys, make):
+        ini = tmp_path / "file.ini"
+        ini.write_text(FAST_CUSTOM.replace(
+            "source = designed", f"source = file\nsource_path = {make(tmp_path)}"))
+        out = tmp_path / "trace.csv"
+        code = main([
+            "experiment", "custom", "--config", str(ini), "--output", str(out),
+        ])
+        assert code == 2
+        assert "source_path" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_experiment_bad_config_no_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

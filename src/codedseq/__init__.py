@@ -11,7 +11,6 @@ from .codec import (
     InsufficientResults,
     PackingFailure,
     RowTag,
-    SourceMatrices,
     SystematicGenerator,
     WorkerMatrix,
     WorkerResult,
@@ -43,7 +42,6 @@ from .solver import (
     Phase,
     RunTrace,
     SvdFactors,
-    build_level_blocks,
     optimality_residual,
     reference_solution,
     run_baseline,

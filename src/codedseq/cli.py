@@ -71,16 +71,14 @@ def _cmd_demo_encode(args) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
+    if args.m < 1:
+        print(f"invalid column count: --m must be >= 1, got {args.m}", file=sys.stderr)
+        return VALIDATION_ERROR
 
-    rng = SeededRng(args.seed)
-    gen = rng.generator
-    from .codec import SourceMatrices
-
-    src = SourceMatrices(
-        matrices=tuple(gen.standard_normal((k_i, args.m)) for k_i in cfg.k),
-        m=args.m,
-    )
-    workers = encode_all(src, cfg)
+    h = (0, *cfg.cumulative_ranks())  # level i is rows h[i-1]:h[i] of A
+    gen = SeededRng(args.seed).generator
+    A = gen.standard_normal((h[-1], args.m))
+    workers = encode_all(A, cfg)
 
     lines = ["worker_id,level,block,row,systematic,coefficients"]
     for rec in dump_rows(workers, cfg):
@@ -101,8 +99,8 @@ def _cmd_demo_encode(args) -> int:
     for ell in range(1, cfg.L + 1):
         for subset in combinations(range(cfg.L), ell):
             decoded = decode_prefix([results[i] for i in subset], cfg)
-            for level, block in enumerate(decoded, start=1):
-                truth = src.matrices[level - 1] @ z
+            for a, b in zip(h, h[1 : ell + 1]):
+                block, truth = decoded[a:b], A[a:b] @ z
                 denom = max(1.0, float(np.abs(truth).max()) if truth.size else 1.0)
                 err = (
                     float(np.abs(block - truth).max()) / denom if truth.size else 0.0

@@ -1,12 +1,14 @@
 """Systematic real-valued MDS coding for sequential distributed multiplication.
 
-A configuration fixes one block layout (``make_layout``): each level-i source
-matrix is split into blocks of i rows (plus a remainder block), every block is
-expanded with a systematic MDS code whose parity part is a Cauchy matrix, and
-the coded rows are dealt across the L workers so that any ell responders
-jointly determine levels 1..ell.  Encoding, decoding and the row dump all read
-that layout.  Decoding from a responder set is one product with a decode
-matrix built the first time that set responds.  Products with a large matrix
+The source is one matrix A whose rows are in priority order: level i holds
+rows h_(i-1)..h_i - 1, with h_i = k_1 + ... + k_i.  A configuration fixes one
+block layout (``make_layout``): each level's rows are split into blocks of i
+rows (plus a remainder block), every block is expanded with a systematic MDS
+code whose parity part is a Cauchy matrix, and the coded rows are dealt across
+the L workers so that any ell responders jointly determine the first h_ell
+entries of A z.  Encoding, decoding and the row dump all read that layout.
+Decoding from a responder set is one product with a decode matrix built the
+first time that set responds.  Products with a large matrix
 read only the columns on the vector's support (``support_product``).
 """
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "InsufficientResults",
     "RowTag",
     "SystematicGenerator",
-    "SourceMatrices",
     "WorkerMatrix",
     "WorkerResult",
     "make_generator",
@@ -74,29 +75,6 @@ class SystematicGenerator:
     rows_in: int
     rows_out: int
     coefficients: np.ndarray
-
-
-@dataclass(frozen=True)
-class SourceMatrices:
-    """The L per-level source matrices sharing a common column count."""
-
-    matrices: tuple[np.ndarray, ...]
-    m: int
-
-    def __post_init__(self) -> None:
-        mats = tuple(np.asarray(a, dtype=float) for a in self.matrices)
-        for a in mats:
-            if a.ndim != 2:
-                raise ValueError("source matrices must be 2-dimensional")
-            if a.shape[1] != self.m:
-                raise ValueError(
-                    f"source matrix has {a.shape[1]} columns, expected {self.m}"
-                )
-        object.__setattr__(self, "matrices", mats)
-
-    @property
-    def level_rows(self) -> tuple[int, ...]:
-        return tuple(a.shape[0] for a in self.matrices)
 
 
 @dataclass(frozen=True)
@@ -153,7 +131,8 @@ def make_generator(rows_in: int, rows_out: int) -> SystematicGenerator:
 
 @dataclass(frozen=True)
 class Block:
-    """Source rows start..start+rows_in-1 of one level, coded to rows_out rows.
+    """Rows start..start+rows_in-1 of the source A, all of one level, coded to
+    rows_out rows.
 
     Coded row r is stored by worker homes[r] (0-based) as row slots[r] of that
     worker's matrix.
@@ -177,8 +156,9 @@ class Layout:
     """Block geometry and row placement of one configuration (``make_layout``).
 
     ``levels[i-1]`` lists the blocks of level i; ``tags[w]`` lists the coded
-    rows of worker w+1 in storage order; level i's products occupy entries
-    ``offsets[i-1]:offsets[i]`` of a decoded vector.  ``decoders`` caches one
+    rows of worker w+1 in storage order; level i holds rows
+    ``offsets[i-1]:offsets[i]`` of the source, so ell responders decode the
+    first ``offsets[ell]`` entries of A z.  ``decoders`` caches one
     decode matrix per responder set.
     """
 
@@ -189,9 +169,9 @@ class Layout:
 
     def decoder(self, responders: tuple[int, ...]) -> np.ndarray:
         """Decode matrix D_S mapping the outputs of the ascending worker ids S,
-        concatenated, to the products of levels 1..|S|.  Per block it reads the
-        lowest-indexed coded rows present: systematic rows are copied verbatim,
-        otherwise the inverse of that generator submatrix is applied."""
+        concatenated, to the first offsets[|S|] entries of A z.  Per block it
+        reads the lowest-indexed coded rows present: systematic rows are copied
+        verbatim, otherwise the inverse of that generator submatrix is applied."""
         D = self.decoders.get(responders)
         if D is not None:
             return D
@@ -208,8 +188,7 @@ class Layout:
                        if w in column]
                 idx, cols = map(list, zip(*got[: blk.rows_in]))
                 sub = blk.generator.coefficients[idx]  # the identity if idx is systematic
-                first = self.offsets[blk.level - 1] + blk.start
-                D[first : first + blk.rows_in, cols] = (
+                D[blk.start : blk.start + blk.rows_in, cols] = (
                     sub if idx == list(range(blk.rows_in)) else np.linalg.inv(sub))
         D.setflags(write=False)
         self.decoders[responders] = D
@@ -220,8 +199,9 @@ class Layout:
 def make_layout(cfg: Configuration) -> Layout:
     """The block layout of a configuration, built once per configuration.
 
-    Level i is split into consecutive blocks of i source rows plus a remainder
-    block; a block of rows_in rows is coded to row_count_s(i, rows_in, L) rows.
+    Level i's source rows are split into consecutive blocks of i rows plus a
+    remainder block; a block of rows_in rows is coded to
+    row_count_s(i, rows_in, L) rows.
     Full-block row r goes to worker r+1.  Remainder-block rows go one each to
     the currently least-loaded workers (ties to the lower worker index),
     levels processed in increasing order.
@@ -232,11 +212,12 @@ def make_layout(cfg: Configuration) -> Layout:
             f"row budget {budget.total} exceeds capacity {budget.capacity}"
         )
     tags: list[list[RowTag]] = [[] for _ in range(cfg.L)]
+    offsets = (0, *cfg.cumulative_ranks())
     levels = []
-    for level, k_i in enumerate(cfg.k, start=1):
+    for level in range(1, cfg.L + 1):
         blocks = []
-        for index, start in enumerate(range(0, k_i, level)):
-            rows_in = min(level, k_i - start)
+        for index, start in enumerate(range(offsets[level - 1], offsets[level], level)):
+            rows_in = min(level, offsets[level] - start)
             rows_out = row_count_s(level, rows_in, cfg.L)
             order = range(cfg.L) if rows_in == level else sorted(
                 range(cfg.L), key=lambda w: (len(tags[w]), w))
@@ -249,23 +230,23 @@ def make_layout(cfg: Configuration) -> Layout:
     for w, rows in enumerate(tags):
         if len(rows) > cfg.n:
             raise PackingFailure(f"worker {w + 1} holds {len(rows)} > n rows")
-    return Layout(tuple(levels), tuple(map(tuple, tags)), (0, *cfg.cumulative_ranks()))
+    return Layout(tuple(levels), tuple(map(tuple, tags)), offsets)
 
 
-def encode_all(src: SourceMatrices, cfg: Configuration) -> list[WorkerMatrix]:
-    """Encode all source matrices and deal the coded rows across L workers,
-    as the configuration's layout places them."""
-    if len(src.matrices) != cfg.L:
-        raise ValueError(f"expected {cfg.L} source matrices, got {len(src.matrices)}")
-    if src.level_rows != cfg.k:
-        raise ValueError(
-            f"source row counts {src.level_rows} do not match configuration {cfg.k}"
-        )
+def encode_all(A: np.ndarray, cfg: Configuration) -> list[WorkerMatrix]:
+    """Encode the source A, whose h_L rows are in level order, and deal the
+    coded rows across L workers as the configuration's layout places them."""
     layout = make_layout(cfg)
-    stored = [np.empty((len(tags), src.m)) for tags in layout.tags]
-    for A_i, blocks in zip(src.matrices, layout.levels):
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != layout.offsets[-1]:
+        raise ValueError(
+            f"source of shape {A.shape} does not stack the {layout.offsets[-1]} "
+            f"rows of configuration {cfg.k}"
+        )
+    stored = [np.empty((len(tags), A.shape[1])) for tags in layout.tags]
+    for blocks in layout.levels:
         for blk in blocks:
-            coded = blk.generator.coefficients @ A_i[blk.start : blk.start + blk.rows_in]
+            coded = blk.generator.coefficients @ A[blk.start : blk.start + blk.rows_in]
             for w, slot, row in zip(blk.homes, blk.slots, coded):
                 stored[w][slot] = row
     for rows in stored:
@@ -311,13 +292,11 @@ def worker_multiply(worker: WorkerMatrix, z: np.ndarray) -> WorkerResult:
     )
 
 
-def decode_prefix(
-    results: Sequence[WorkerResult], cfg: Configuration
-) -> list[np.ndarray]:
-    """Recover [A_1 z, ..., A_ell z] from the results of ell distinct workers.
+def decode_prefix(results: Sequence[WorkerResult], cfg: Configuration) -> np.ndarray:
+    """The first h_ell entries of A z from the results of ell distinct workers.
 
-    The products are one multiplication of the concatenated results by the
-    responder set's cached decode matrix (``Layout.decoder``).
+    They are one multiplication of the concatenated results by the responder
+    set's cached decode matrix (``Layout.decoder``).
     """
     ell = len(results)
     if ell == 0:
@@ -342,9 +321,7 @@ def decode_prefix(
             raise InsufficientResults(
                 f"worker {res.worker_id}: coded rows differ from those of the layout")
     D = layout.decoder(tuple(r.worker_id for r in results))
-    t = D @ np.concatenate([r.y for r in results])
-    bounds = layout.offsets[: ell + 1]
-    return [t[a:b] for a, b in zip(bounds, bounds[1:])]
+    return D @ np.concatenate([r.y for r in results])
 
 
 def dump_rows(

@@ -19,6 +19,7 @@ from .solver import (
     LassoProblem,
     RunTrace,
     SvdFactors,
+    baseline_schedule,
     reference_solution,
     run_baseline,
     run_sequential,
@@ -157,7 +158,10 @@ def validate_experiment(config: ExperimentConfig) -> ApproxSchedule:
         raise ValueError("phase ranks exceed the problem rank")
     config.latency_model()
     cfg = resolve_configuration(config)
-    return ApproxSchedule.build(cfg, config.phases)
+    schedule = ApproxSchedule.build(cfg, config.phases)
+    # run_baseline builds the same schedule, but only after a replication's set-up
+    baseline_schedule(config.L, config.n, config.rank, config.baseline_iterations)
+    return schedule
 
 
 def _load_source(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .cluster import LatencyModel, SeededRng, simulate_wait
 from .codec import (
-    SourceMatrices,
     WorkerMatrix,
     decode_prefix,
     encode_all,
@@ -33,7 +32,6 @@ __all__ = [
     "RunTrace",
     "soft_threshold",
     "truncate_svd",
-    "build_level_blocks",
     "sequential_matvec",
     "run_sequential",
     "run_baseline",
@@ -111,26 +109,6 @@ def truncate_svd(svd: SvdFactors, rank: int) -> SvdFactors:
     return SvdFactors(U=svd.U[:, :rank], sigma=svd.sigma[:rank], V=svd.V[:, :rank])
 
 
-def build_level_blocks(V: np.ndarray, cfg: Configuration) -> SourceMatrices:
-    """Stack right-singular-vector rows into the per-level source matrices.
-
-    Level i receives rows h_{i-1}+1 .. h_i of V^T, h being the cumulative
-    configuration counts.
-    """
-    V = np.asarray(V, dtype=float)
-    d = V.shape[1]
-    if sum(cfg.k) > d:
-        raise ValueError(
-            f"configuration needs {sum(cfg.k)} singular vectors, only {d} available"
-        )
-    mats = []
-    start = 0
-    for k_i in cfg.k:
-        mats.append(V[:, start : start + k_i].T.copy())
-        start += k_i
-    return SourceMatrices(matrices=tuple(mats), m=V.shape[0])
-
-
 def soft_threshold(v: np.ndarray, theta: float) -> np.ndarray:
     """Elementwise shrink toward zero by theta; the prox of theta*||.||_1."""
     if theta < 0:
@@ -179,25 +157,18 @@ class ApproxSchedule:
 
     @classmethod
     def build(
-        cls,
-        config: Configuration,
-        phase_specs: Sequence[tuple[int, int]],
-        ells: Sequence[int] | None = None,
+        cls, config: Configuration, phase_specs: Sequence[tuple[int, int]]
     ) -> "ApproxSchedule":
-        """Schedule from (rank, iterations) pairs; ell defaults to the smallest
-        responder count whose cumulative rank covers the phase rank."""
+        """Schedule from (rank, iterations) pairs; each phase's ell is the
+        smallest responder count whose cumulative rank covers its rank."""
         h = config.cumulative_ranks()
         phases = []
-        for idx, (rank, iters) in enumerate(phase_specs):
-            if ells is not None:
-                ell = ells[idx]
-            else:
-                ell = next((i + 1 for i, hv in enumerate(h) if hv >= rank), 0)
-                if ell == 0:
-                    raise ValueError(
-                        f"no responder count reaches rank {rank} "
-                        f"(cumulative ranks {h})"
-                    )
+        for rank, iters in phase_specs:
+            ell = next((i + 1 for i, hv in enumerate(h) if hv >= rank), 0)
+            if ell == 0:
+                raise ValueError(
+                    f"no responder count reaches rank {rank} (cumulative ranks {h})"
+                )
             phases.append(Phase(rank=rank, iterations=iters, ell=ell))
         return cls(config=config, phases=tuple(phases))
 
@@ -212,8 +183,8 @@ class CodedMatvecSystem:
 
     @classmethod
     def setup(cls, svd: SvdFactors, config: Configuration) -> "CodedMatvecSystem":
-        src = build_level_blocks(svd.V, config)
-        workers = tuple(encode_all(src, config))
+        # the source rows are v_1 .. v_(h_L), in decreasing order of sigma
+        workers = tuple(encode_all(svd.V[:, : sum(config.k)].T, config))
         return cls(config=config, svd=svd, workers=workers)
 
 
@@ -226,14 +197,15 @@ def sequential_matvec(
 ) -> tuple[np.ndarray, float]:
     """One coded round: wait for ell(r) workers, decode, return (H_(r) x, T_(ell)).
 
-    The decoded values t = [v_1^T x, ..., v_h^T x] are completed user-side to
-    H_(r) x = V_r diag(sigma_r^2) t_r using the first rank(r) components.
+    The decoded values t = [v_1^T x, ..., v_h^T x], h = h_ell, are completed
+    user-side to H_(r) x = V_r diag(sigma_r^2) t_r using the first rank(r)
+    components.
     """
     elapsed, responders = simulate_wait(model, system.config.L, phase.ell, rng)
     results = [
         worker_multiply(system.workers[w - 1], x) for w in responders
     ]
-    t = np.concatenate(decode_prefix(results, system.config))
+    t = decode_prefix(results, system.config)
     if t.shape[0] < phase.rank:
         raise RuntimeError(
             f"decoded {t.shape[0]} components, phase needs {phase.rank}"

@@ -12,7 +12,7 @@ import numpy as np
 from conftest import spectral_norm_power
 
 from codedseq.cluster import LatencyModel, SeededRng, order_stat_mean, sample_round
-from codedseq.codec import SourceMatrices, decode_prefix, encode_all, worker_multiply
+from codedseq.codec import decode_prefix, encode_all, worker_multiply
 from codedseq.feasibility import (
     Configuration,
     check_feasible,
@@ -45,18 +45,17 @@ def minimal_n(k: tuple[int, ...]) -> int:
 
 def roundtrip_error(cfg: Configuration, m: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
-    src = SourceMatrices(
-        matrices=tuple(rng.standard_normal((k_i, m)) for k_i in cfg.k), m=m
-    )
-    workers = encode_all(src, cfg)
+    A = rng.standard_normal((sum(cfg.k), m))
+    workers = encode_all(A, cfg)
     z = rng.standard_normal(m)
     results = [worker_multiply(w, z) for w in workers]
+    h = (0, *cfg.cumulative_ranks())
     worst = 0.0
     for ell in range(1, cfg.L + 1):
         for subset in combinations(range(cfg.L), ell):
             decoded = decode_prefix([results[i] for i in subset], cfg)
-            for level, block in enumerate(decoded, start=1):
-                truth = src.matrices[level - 1] @ z
+            for a, b in zip(h, h[1 : ell + 1]):
+                block, truth = decoded[a:b], A[a:b] @ z
                 if truth.size:
                     err = np.abs(block - truth).max() / max(1.0, np.abs(truth).max())
                     worst = max(worst, float(err))

@@ -30,3 +30,10 @@ def test_package_reexports_resolve():
         for alias in node.names:
             name = alias.asname or alias.name
             assert getattr(codedseq, name) is getattr(module, alias.name), name
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -7,7 +7,6 @@ import codedseq.codec as codec_module
 from codedseq.codec import (
     InfeasibleConfiguration,
     InsufficientResults,
-    SourceMatrices,
     WorkerMatrix,
     decode_prefix,
     dump_rows,
@@ -21,16 +20,20 @@ from codedseq.feasibility import Configuration, check_feasible, row_count_s
 
 
 def random_source(cfg, m, seed):
-    rng = np.random.default_rng(seed)
-    return SourceMatrices(
-        matrices=tuple(rng.standard_normal((k, m)) for k in cfg.k), m=m
-    )
+    """The stacked (h_L, m) source; level i is rows h_(i-1):h_i."""
+    return np.random.default_rng(seed).standard_normal((sum(cfg.k), m))
+
+
+def level_bounds(cfg):
+    """(first, end) source rows of each level, from the cumulative ranks."""
+    h = (0, *cfg.cumulative_ranks())
+    return list(zip(h, h[1:]))
 
 
 def roundtrip_max_error(cfg, m=10, seed=0):
     """Max relative decode error over every worker subset of every size."""
-    src = random_source(cfg, m, seed)
-    workers = encode_all(src, cfg)
+    A = random_source(cfg, m, seed)
+    workers = encode_all(A, cfg)
     rng = np.random.default_rng(seed + 1)
     z = rng.standard_normal(m)
     results = [worker_multiply(w, z) for w in workers]
@@ -38,10 +41,9 @@ def roundtrip_max_error(cfg, m=10, seed=0):
     for ell in range(1, cfg.L + 1):
         for subset in combinations(range(cfg.L), ell):
             decoded = decode_prefix([results[i] for i in subset], cfg)
-            assert len(decoded) == ell
-            for level, block in enumerate(decoded, start=1):
-                truth = src.matrices[level - 1] @ z
-                assert block.shape == truth.shape
+            assert decoded.shape == (cfg.cumulative_ranks()[ell - 1],)
+            for a, b in level_bounds(cfg)[:ell]:
+                block, truth = decoded[a:b], A[a:b] @ z
                 if truth.size:
                     err = np.abs(block - truth).max() / max(1.0, np.abs(truth).max())
                     worst = max(worst, float(err))
@@ -104,8 +106,9 @@ class TestLayout:
             budget = check_feasible(cfg)
             for level, blocks in enumerate(layout.levels, start=1):
                 assert sum(b.rows_out for b in blocks) == budget.s[level - 1]
+                first = layout.offsets[level - 1]
                 starts = [b.start for b in blocks]
-                assert starts == list(range(0, cfg.k[level - 1], level))
+                assert starts == list(range(first, first + cfg.k[level - 1], level))
                 assert sum(b.rows_in for b in blocks) == cfg.k[level - 1]
                 for b in blocks:
                     assert len(set(b.homes)) == len(b.homes) == b.rows_out
@@ -197,6 +200,11 @@ class TestEncode:
         src = random_source(Configuration(L=2, n=2, k=(2, 1)), 3, 0)
         with pytest.raises(ValueError):
             encode_all(src, cfg)
+
+    def test_one_dimensional_source_rejected(self):
+        cfg = Configuration(L=2, n=2, k=(1, 1))
+        with pytest.raises(ValueError, match="does not stack"):
+            encode_all(np.ones(2), cfg)
 
     def test_rows_are_immutable(self):
         cfg = Configuration(L=2, n=2, k=(1, 1))
@@ -334,8 +342,8 @@ class TestSupportProduct:
     def test_wide_worker_matches_rows_product(self):
         # the bigf layout: each worker (n = 40) stores 38-39 coded rows of 5,000
         cfg = Configuration(L=4, n=40, k=(0, 0, 10, 140))
-        src = random_source(cfg, 5000, 13)
-        workers = encode_all(src, cfg)
+        A = random_source(cfg, 5000, 13)
+        workers = encode_all(A, cfg)
         assert [w.rows.shape for w in workers] == [(39, 5000)] * 2 + [(38, 5000)] * 2
         z = sparse_vector(5000, 9, 14)
         results = []
@@ -346,32 +354,31 @@ class TestSupportProduct:
             assert rows.gathered
             assert_close(np.asarray(res.y), w.rows @ z)
             results.append(res)
-        for level, block in enumerate(decode_prefix(results, cfg), start=1):
-            if block.size:
-                assert_close(block, src.matrices[level - 1] @ z, rtol=1e-10)
+        decoded = decode_prefix(results, cfg)
+        for a, b in level_bounds(cfg):
+            if b > a:
+                assert_close(decoded[a:b], A[a:b] @ z, rtol=1e-10)
 
 
 class TestDecode:
     def test_reference_example_pair_recovers_level_two(self):
         cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
-        src = random_source(cfg, 7, 0)
-        workers = encode_all(src, cfg)
+        A = random_source(cfg, 7, 0)
+        workers = encode_all(A, cfg)
         z = np.random.default_rng(9).standard_normal(7)
         results = [worker_multiply(w, z) for w in workers]
         decoded = decode_prefix([results[2], results[3]], cfg)
-        assert decoded[0].size == 0
-        np.testing.assert_allclose(decoded[1], src.matrices[1] @ z, atol=1e-10)
+        assert decoded.shape == (3,)  # level 1 is empty, level 2 is rows 0..2
+        np.testing.assert_allclose(decoded, A[:3] @ z, atol=1e-10)
 
     def test_reference_example_full_set(self):
         cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
-        src = random_source(cfg, 7, 0)
-        workers = encode_all(src, cfg)
+        A = random_source(cfg, 7, 0)
+        workers = encode_all(A, cfg)
         z = np.random.default_rng(11).standard_normal(7)
         decoded = decode_prefix([worker_multiply(w, z) for w in workers], cfg)
-        for level in (2, 3, 4):
-            np.testing.assert_allclose(
-                decoded[level - 1], src.matrices[level - 1] @ z, atol=1e-9
-            )
+        for a, b in level_bounds(cfg)[1:]:
+            np.testing.assert_allclose(decoded[a:b], A[a:b] @ z, atol=1e-9)
 
     def test_all_subsets_reference_example(self):
         cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
@@ -404,33 +411,31 @@ class TestDecode:
         ],
     )
     def test_matches_reference_decoder(self, cfg):
-        src = random_source(cfg, 6, 5)
-        workers = encode_all(src, cfg)
+        workers = encode_all(random_source(cfg, 6, 5), cfg)
         z = np.random.default_rng(8).standard_normal(6)
         results = [worker_multiply(w, z) for w in workers]
         for ell in range(1, cfg.L + 1):
             for subset in combinations(range(cfg.L), ell):
                 picked = [results[i] for i in subset]
-                for got, want in zip(decode_prefix(picked, cfg), pool_decode(picked, cfg)):
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(
+                    decode_prefix(picked, cfg), np.concatenate(pool_decode(picked, cfg)),
+                    rtol=1e-12, atol=1e-12,
+                )
 
     def test_subset_independence(self):
         cfg = Configuration(L=4, n=5, k=(1, 3, 4, 2))
-        src = random_source(cfg, 8, 7)
-        workers = encode_all(src, cfg)
+        workers = encode_all(random_source(cfg, 8, 7), cfg)
         z = np.random.default_rng(13).standard_normal(8)
         results = [worker_multiply(w, z) for w in workers]
         outs = []
         for subset in combinations(range(4), 2):
-            decoded = decode_prefix([results[i] for i in subset], cfg)
-            outs.append(np.concatenate(decoded))
+            outs.append(decode_prefix([results[i] for i in subset], cfg))
         for other in outs[1:]:
             np.testing.assert_allclose(outs[0], other, rtol=1e-8, atol=1e-10)
 
     def test_linearity(self):
         cfg = Configuration(L=3, n=3, k=(1, 2, 2))
-        src = random_source(cfg, 6, 21)
-        workers = encode_all(src, cfg)
+        workers = encode_all(random_source(cfg, 6, 21), cfg)
         rng = np.random.default_rng(22)
         z1, z2 = rng.standard_normal(6), rng.standard_normal(6)
         alpha = 1.7
@@ -440,15 +445,13 @@ class TestDecode:
         )
         dec1 = decode_prefix([worker_multiply(w, z1) for w in subset], cfg)
         dec2 = decode_prefix([worker_multiply(w, z2) for w in subset], cfg)
-        for c, a, b in zip(dec_comb, dec1, dec2):
-            np.testing.assert_allclose(c, alpha * a + b, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(dec_comb, alpha * dec1 + dec2, rtol=1e-9, atol=1e-10)
 
     def test_full_response_uses_systematic_rows_verbatim(self):
         # divisible config: every block's systematic rows live in the first
         # workers, so decoding with all workers copies their outputs exactly
         cfg = Configuration(L=4, n=2, k=(0, 2, 0, 4))
-        src = random_source(cfg, 5, 4)
-        workers = encode_all(src, cfg)
+        workers = encode_all(random_source(cfg, 5, 4), cfg)
         z = np.random.default_rng(6).standard_normal(5)
         results = [worker_multiply(w, z) for w in workers]
         decoded = decode_prefix(results, cfg)
@@ -458,7 +461,7 @@ class TestDecode:
                 if tag.systematic:
                     sys_rows[(tag.level, tag.block, tag.row)] = value
         np.testing.assert_array_equal(
-            decoded[1], np.array([sys_rows[(2, 0, 0)], sys_rows[(2, 0, 1)]])
+            decoded[:2], np.array([sys_rows[(2, 0, 0)], sys_rows[(2, 0, 1)]])
         )
 
     def test_duplicate_workers_rejected(self):

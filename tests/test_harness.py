@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import codedseq.harness as harness_module
 from codedseq.cli import main
 from codedseq.cluster import LatencyModel
 from codedseq.feasibility import Configuration, feasible_configs
@@ -408,6 +409,17 @@ class TestCli:
     def test_demo_encode_infeasible(self, capsys):
         assert main(["demo-encode", "--L", "2", "--n", "1", "--k", "2,0"]) == 2
 
+    @pytest.mark.parametrize("m", ["-1", "0"])
+    def test_demo_encode_bad_column_count_exit_2(self, tmp_path, capsys, m):
+        out = tmp_path / "dump.csv"
+        code = main(["demo-encode", "--L", "4", "--n", "3", "--k", "0,3,3,1",
+                     "--m", m, "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--m must be >= 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_oracle_check(self, capsys):
         assert main(["oracle-check", "--max-L", "3", "--max-k", "6"]) == 0
         assert "matches" in capsys.readouterr().out
@@ -450,6 +462,25 @@ class TestCli:
         ])
         assert code == 2
         assert "bad config file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infeasible_baseline_exits_before_any_replication(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # k = auto fits phases 5 and 15 on n = 5, but no single level holds
+        # the baseline's 38 rows
+        def no_problem(*args, **kwargs):
+            raise AssertionError("a problem was generated before validation ended")
+
+        monkeypatch.setattr(harness_module, "designed_problem", no_problem)
+        ini = tmp_path / "nobase.ini"
+        ini.write_text(FAST_CUSTOM.replace("n = 10", "n = 5")
+                       .replace("phases = 6:10, 38:60", "phases = 5:30, 15:120")
+                       .replace("k = 0,0,6,32", "k = auto"))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini), "--output", str(out)])
+        assert code == 2
+        assert "no single-level configuration supports rank 38" in capsys.readouterr().err
         assert not out.exists()
 
     def test_runtime_failure_keeps_earlier_output(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from conftest import spectral_norm_power
 import codedseq.codec as codec_module
 import codedseq.solver as solver_module
 from codedseq.cluster import LatencyModel, SeededRng, simulate_wait
+from codedseq.codec import decode_prefix, worker_multiply
 from codedseq.feasibility import Configuration
 from codedseq.problems import designed_problem, gaussian_problem
 from codedseq.solver import (
@@ -18,7 +19,6 @@ from codedseq.solver import (
     LassoProblem,
     Phase,
     SvdFactors,
-    build_level_blocks,
     optimality_residual,
     reference_solution,
     run_baseline,
@@ -113,33 +113,43 @@ class TestSvd:
             truncate_svd(svd, svd.rank + 1)
 
 
+def setup_decode(V, cfg, seed):
+    """(t, z): every worker's coded product with V^T's rows, decoded, at a
+    random z; t holds the first h_L entries of V^T z."""
+    svd = SvdFactors(U=np.eye(V.shape[1]), sigma=np.ones(V.shape[1]), V=V)
+    system = CodedMatvecSystem.setup(svd, cfg)
+    z = np.random.default_rng(seed).standard_normal(V.shape[0])
+    return decode_prefix([worker_multiply(w, z) for w in system.workers], cfg), z
+
+
 class TestLevelBlocks:
     def test_reference_split_example_one(self):
         V = np.random.default_rng(0).standard_normal((50, 38))
         V, _ = np.linalg.qr(V)
         cfg = Configuration(L=4, n=10, k=(0, 0, 6, 32))
-        src = build_level_blocks(V, cfg)
-        assert src.level_rows == (0, 0, 6, 32)
-        np.testing.assert_array_equal(src.matrices[2], V[:, :6].T)
-        np.testing.assert_array_equal(src.matrices[3], V[:, 6:38].T)
+        t, z = setup_decode(V, cfg, 10)
+        assert t.shape == (38,)
+        np.testing.assert_allclose(t[:6], V[:, :6].T @ z, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(t[6:38], V[:, 6:38].T @ z, rtol=1e-10, atol=1e-12)
 
     def test_reference_split_example_two(self):
         V = np.linalg.qr(np.random.default_rng(1).standard_normal((40, 20)))[0]
         cfg = Configuration(L=4, n=10, k=(5, 10, 0, 0))
-        src = build_level_blocks(V, cfg)
-        np.testing.assert_array_equal(src.matrices[0], V[:, :5].T)
-        np.testing.assert_array_equal(src.matrices[1], V[:, 5:15].T)
+        t, z = setup_decode(V, cfg, 11)
+        np.testing.assert_allclose(t[:5], V[:, :5].T @ z, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(t[5:15], V[:, 5:15].T @ z, rtol=1e-10, atol=1e-12)
 
     def test_single_level_takes_everything(self):
         V = np.linalg.qr(np.random.default_rng(2).standard_normal((12, 6)))[0]
-        cfg = Configuration(L=2, n=3, k=(6, 0))
-        src = build_level_blocks(V, cfg)
-        np.testing.assert_array_equal(src.matrices[0], V.T)
+        # level 1 replicates every row on both workers, so n = 6
+        cfg = Configuration(L=2, n=6, k=(6, 0))
+        t, z = setup_decode(V, cfg, 12)
+        np.testing.assert_allclose(t, V.T @ z, rtol=1e-10, atol=1e-12)
 
     def test_rejects_overfull(self):
         V = np.linalg.qr(np.random.default_rng(3).standard_normal((12, 4)))[0]
-        with pytest.raises(ValueError):
-            build_level_blocks(V, Configuration(L=2, n=10, k=(3, 2)))
+        with pytest.raises(ValueError, match="does not stack the 5 rows"):
+            setup_decode(V, Configuration(L=2, n=10, k=(3, 2)), 13)
 
 
 class TestSchedule:
@@ -233,6 +243,16 @@ class TestSequentialMatvec:
         g2, _ = sequential_matvec(x2, phase, system, model, SeededRng(0))
         g12, _ = sequential_matvec(2.0 * x1 + x2, phase, system, model, SeededRng(0))
         np.testing.assert_allclose(g12, 2.0 * g1 + g2, rtol=1e-9, atol=1e-11)
+
+    def test_rank_beyond_decoded_prefix_raises(self):
+        # one responder decodes h_1 = 1 entry; the hand-built phase skips
+        # ApproxSchedule's reachability check
+        _, _, cfg, system = tiny_coded_setup()
+        phase = Phase(rank=6, iterations=1, ell=1)
+        with pytest.raises(RuntimeError, match="decoded 1 components, phase needs 6"):
+            sequential_matvec(
+                np.zeros(15), phase, system, LatencyModel.exponential(1.0), SeededRng(0)
+            )
 
     @pytest.mark.parametrize("rank,ell", [(1, 1), (3, 2), (6, 3)])
     def test_every_responder_set_on_one_stream(self, rank, ell):

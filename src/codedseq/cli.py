@@ -75,8 +75,13 @@ def _cmd_demo_encode(args) -> int:
         print(f"invalid column count: --m must be >= 1, got {args.m}", file=sys.stderr)
         return VALIDATION_ERROR
 
+    try:
+        gen = SeededRng(args.seed).generator
+    except ValueError as exc:
+        print(f"invalid seed {args.seed}: {exc}", file=sys.stderr)
+        return VALIDATION_ERROR
+
     h = (0, *cfg.cumulative_ranks())  # level i is rows h[i-1]:h[i] of A
-    gen = SeededRng(args.seed).generator
     A = gen.standard_normal((h[-1], args.m))
     workers = encode_all(A, cfg)
 
@@ -148,6 +153,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.max_L < 1 or args.max_k < 0:
+        print(f"empty sweep: need --max-L >= 1 and --max-k >= 0, got "
+              f"{args.max_L} and {args.max_k}", file=sys.stderr)
+        return VALIDATION_ERROR
     mismatches = 0
     checked = 0
     for L in range(1, args.max_L + 1):

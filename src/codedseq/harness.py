@@ -154,6 +154,17 @@ def validate_experiment(config: ExperimentConfig) -> ApproxSchedule:
             f"rank {config.rank} exceeds min(rows, cols) = "
             f"{min(config.rows, config.cols)}"
         )
+    if config.source == "designed" and config.rows > config.cols:
+        raise ValueError(
+            f"source 'designed' needs rows <= cols, got {config.rows} x {config.cols}"
+        )
+    # a designed F has rank rows, a gaussian one full rank; a file's rank is
+    # known only after its SVD
+    if config.source != "file" and config.rank != min(config.rows, config.cols):
+        raise ValueError(
+            f"source {config.source!r} gives rank "
+            f"{min(config.rows, config.cols)}, the config says {config.rank}"
+        )
     if max(rank for rank, _ in config.phases) > config.rank:
         raise ValueError("phase ranks exceed the problem rank")
     config.latency_model()

@@ -75,6 +75,45 @@ class LassoProblem:
         return 0.5 * float(r @ r) + self.gamma * float(np.abs(x).sum())
 
 
+# Singular values at or below this fraction of the largest count as zero.
+SVD_RCOND = 1e-12
+# Factors taken through the Gram matrix are kept only when the derived factor
+# Q (V for wide F, U for tall F) has max|Q^T Q - I| <= this.  Q^T Q - I is
+# diag(1/sigma) E diag(1/sigma) for the eigensolver's residual E, so the
+# bound caps each singular value's relative error and each factor's loss of
+# orthogonality near 1e-13, while LAPACK's own SVD reaches about 1e-15 on
+# these sizes.  Rounding in the Gram matrix grows with cond(F)^2, so F with
+# a condition number above about 30 fails it.
+GRAM_ORTHO_TOL = 1e-13
+
+
+def _gram_factors(
+    F: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(U, sigma, V) of F from the eigendecomposition of its smaller Gram
+    matrix, or None when GRAM_ORTHO_TOL cannot certify them."""
+    wide = F.shape[0] <= F.shape[1]
+    lam, W = np.linalg.eigh(F @ F.T if wide else F.T @ F)
+    if lam.size == 0 or not lam[0] > 0.0:  # also catches NaN
+        return None
+    sigma = np.sqrt(lam[::-1])
+    W = W[:, ::-1]  # eigh sorts ascending
+    if wide:
+        Q = W.T @ F  # V^T, C order, so V = Q.T is column-major
+        Q /= sigma[:, None]
+        U, V = W, Q.T
+        QtQ = Q @ V
+    else:
+        V = np.asfortranarray(W)
+        Q = F @ V  # U
+        Q /= sigma
+        U = Q
+        QtQ = Q.T @ Q
+    if not np.abs(QtQ - np.eye(sigma.size)).max() <= GRAM_ORTHO_TOL:
+        return None
+    return U, sigma, V
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Thin SVD F = U diag(sigma) V^T with positive singular values."""
@@ -84,9 +123,20 @@ class SvdFactors:
     V: np.ndarray
 
     @classmethod
-    def from_matrix(cls, F: np.ndarray, rcond: float = 1e-12) -> "SvdFactors":
-        U, s, Vt = np.linalg.svd(np.asarray(F, dtype=float), full_matrices=False)
-        keep = s > rcond * (s[0] if s.size else 0.0)
+    def from_matrix(cls, F: np.ndarray) -> "SvdFactors":
+        """Factors of F, sigma descending and V column-major.
+
+        Well-conditioned full-rank F is factored through the eigenvectors of
+        its smaller Gram matrix and one product with F; every other F, and
+        any result that fails the GRAM_ORTHO_TOL check, goes to LAPACK's SVD,
+        which drops singular values at or below SVD_RCOND * sigma_1.
+        """
+        F = np.asarray(F, dtype=float)
+        factors = _gram_factors(F)
+        if factors is not None:
+            return cls(*factors)
+        U, s, Vt = np.linalg.svd(F, full_matrices=False)
+        keep = s > SVD_RCOND * (s[0] if s.size else 0.0)
         return cls(U=U[:, keep], sigma=s[keep], V=Vt[keep].T)
 
     @property
@@ -374,9 +424,11 @@ def reference_solution(
     """Exact-matrix proximal gradient run to an optimality residual <= tol.
 
     Proximal gradient finds the support S and signs s of the optimum long
-    before it converges.  So every ``check_every`` iterations whose residual
-    is above tol also try the point that solves the stationarity equations on
-    the iterate's support, (F_S^T F_S) z = F_S^T b - gamma s, zero elsewhere.
+    before it converges, often within its first few steps.  So the residual
+    is checked after iterations 1, 2, 4, ... below ``check_every`` and then
+    every ``check_every`` iterations, and each check above tol also tries the
+    point that solves the stationarity equations on the iterate's support,
+    (F_S^T F_S) z = F_S^T b - gamma s, zero elsewhere.
     That point is returned only if it passes the same residual test; if not
     (wrong support, singular F_S^T F_S), ISTA goes on from its own iterate.
     The step is 1/sigma_max(F)^2, taken from ``svd`` when the caller holds
@@ -397,7 +449,8 @@ def reference_solution(
     x = np.zeros(problem.cols)
     for k in range(1, max_iter + 1):
         x = soft_threshold(x - t * (F.T @ support_product(F, x) - h), t * gamma)
-        if k % check_every == 0:
+        early = k < check_every and k & (k - 1) == 0  # k a power of two
+        if early or k % check_every == 0:
             res = optimality_residual(problem, x)
             if res <= tol:
                 return x, res

@@ -420,9 +420,26 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_demo_encode_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "dump.csv"
+        code = main(["demo-encode", "--L", "4", "--n", "3", "--k", "0,3,3,1",
+                     "--seed", "-1", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid seed -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_oracle_check(self, capsys):
         assert main(["oracle-check", "--max-L", "3", "--max-k", "6"]) == 0
         assert "matches" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bounds", [["--max-L", "0"], ["--max-k", "-1"]])
+    def test_oracle_check_empty_sweep_exit_2(self, capsys, bounds):
+        assert main(["oracle-check", *bounds]) == 2
+        captured = capsys.readouterr()
+        assert "empty sweep" in captured.err
+        assert "matches" not in captured.out
 
     def test_experiment_preset_rejects_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
@@ -482,6 +499,53 @@ class TestCli:
         assert code == 2
         assert "no single-level configuration supports rank 38" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edits,message",
+        [
+            ({"rank = 38": "rank = 30", "38:60": "30:60", "0,0,6,32": "0,0,6,24"},
+             "source 'designed' gives rank 38, the config says 30"),
+            ({"rows = 38": "rows = 60", "cols = 500": "cols = 40",
+              "rank = 38": "rank = 40", "n = 10": "n = 12", "38:60": "40:60",
+              "0,0,6,32": "0,0,6,34"},
+             "source 'designed' needs rows <= cols, got 60 x 40"),
+            ({"rank = 38": "rank = 30", "38:60": "30:60", "0,0,6,32": "0,0,6,24",
+              "source = designed": "source = gaussian"},
+             "source 'gaussian' gives rank 38, the config says 30"),
+        ],
+        ids=["designed-rank", "designed-tall", "gaussian-rank"],
+    )
+    def test_source_rank_mismatch_exits_before_any_replication(
+        self, tmp_path, capsys, monkeypatch, edits, message
+    ):
+        def no_problem(*args, **kwargs):
+            raise AssertionError("a problem was generated before validation ended")
+
+        monkeypatch.setattr(harness_module, "designed_problem", no_problem)
+        monkeypatch.setattr(harness_module, "gaussian_problem", no_problem)
+        text = FAST_CUSTOM
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        ini = tmp_path / "rank.ini"
+        ini.write_text(text)
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini), "--output", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tall_gaussian_source_runs(self, tmp_path, capsys):
+        # rows > cols: the SVD factors F^T F and the problem has rank cols
+        ini = tmp_path / "tall.ini"
+        ini.write_text(FAST_CUSTOM.replace("rows = 38", "rows = 60")
+                       .replace("cols = 500", "cols = 38")
+                       .replace("source = designed", "source = gaussian")
+                       .replace("gamma = 5.0", "gamma = 1.0"))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini),
+                     "--replications", "1", "--output", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert len(read_trace_csv(out)) == 80 + 70
 
     def test_runtime_failure_keeps_earlier_output(self, tmp_path, capsys):
         # F has the configured shape but rank 37, which the run finds only

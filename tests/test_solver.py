@@ -113,6 +113,75 @@ class TestSvd:
             truncate_svd(svd, svd.rank + 1)
 
 
+def assert_factors_match_lapack(svd, F, tol):
+    sigma = np.linalg.svd(F, compute_uv=False)
+    np.testing.assert_allclose(svd.sigma, sigma[: svd.rank], rtol=tol, atol=0)
+    eye = np.eye(svd.rank)
+    assert np.abs(svd.U.T @ svd.U - eye).max() <= tol
+    assert np.abs(svd.V.T @ svd.V - eye).max() <= tol
+    assert np.abs(svd.dense() - F).max() <= tol * np.abs(F).max()
+    assert svd.V.flags.f_contiguous
+
+
+class TestSvdPaths:
+    @staticmethod
+    def forbid_lapack(monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("the Gram route should have been certified")
+
+        monkeypatch.setattr(np.linalg, "svd", unused)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: designed_problem(SeededRng(4).spawn(0, 0)).problem.F,
+            lambda: gaussian_problem(SeededRng(5), rows=60, cols=20).F,
+        ],
+        ids=["designed-wide", "gaussian-tall"],
+    )
+    def test_gram_route(self, monkeypatch, make):
+        F = make()
+        self.forbid_lapack(monkeypatch)
+        svd = SvdFactors.from_matrix(F)
+        monkeypatch.undo()
+        assert svd.rank == min(F.shape)
+        assert_factors_match_lapack(svd, F, 1e-13)
+
+    def test_rank_deficient_falls_back(self):
+        F = np.random.default_rng(0).standard_normal((38, 500))
+        F[-1] = F[0]
+        svd = SvdFactors.from_matrix(F)
+        assert svd.rank == 37
+        assert_factors_match_lapack(svd, F, 1e-13)
+
+    def test_ill_conditioned_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        Q1, _ = np.linalg.qr(rng.standard_normal((38, 38)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((500, 38)))
+        F = Q1 @ (np.logspace(0, -7, 38)[:, None] * Q2.T)
+        calls = []
+        lapack = np.linalg.svd
+
+        def recording(*args, **kwargs):
+            calls.append(1)
+            return lapack(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        svd = SvdFactors.from_matrix(F)
+        monkeypatch.undo()
+        assert calls == [1]
+        _, sigma, Vt = np.linalg.svd(F, full_matrices=False)
+        np.testing.assert_array_equal(svd.sigma, sigma)
+        np.testing.assert_array_equal(svd.V, Vt.T)
+        assert svd.V.flags.f_contiguous
+
+    def test_non_finite_matrix_raises(self):
+        F = designed_problem(SeededRng(4).spawn(0, 0)).problem.F.copy()
+        F[3, 7] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            SvdFactors.from_matrix(F)
+
+
 def setup_decode(V, cfg, seed):
     """(t, z): every worker's coded product with V^T's rows, decoded, at a
     random z; t holds the first h_L entries of V^T z."""
@@ -676,6 +745,36 @@ class TestReferenceSolution:
         x, res = reference_solution(problem, svd=svd)
         np.testing.assert_array_equal(x, np.zeros(9))
         assert res == 0.0
+
+    def test_designed_support_certified_at_once(self, monkeypatch):
+        # ISTA's first step already has the planted support and signs
+        problem = designed_problem(
+            SeededRng(100).spawn(0, 0), rows=60, cols=1500
+        ).problem
+        iters = self.count_calls(monkeypatch, "soft_threshold")
+        _, res = reference_solution(problem)
+        assert res <= 1e-10
+        assert len(iters) <= 2
+
+    def test_check_schedule(self, monkeypatch):
+        # checks after iterations 1, 2, 4, ..., 32, then every 50; each check
+        # and each solved support candidate computes one residual
+        problem = gaussian_problem(SeededRng(0), rows=38, cols=500, gamma=1.0)
+        iters = self.count_calls(monkeypatch, "soft_threshold")
+        residuals = self.count_calls(monkeypatch, "optimality_residual")
+        solved = []
+        solve = np.linalg.solve
+
+        def counting(A, y):
+            z = solve(A, y)
+            solved.append(1)
+            return z
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        _, res = reference_solution(problem)
+        assert res <= 1e-10
+        assert len(iters) > 64
+        assert len(residuals) == len(iters) // 50 + 6 + len(solved)
 
     def test_example1_instance_returns_early(self, monkeypatch):
         # plain ISTA needs about 1,000 iterations on this instance

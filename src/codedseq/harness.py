@@ -138,6 +138,9 @@ def validate_experiment(config: ExperimentConfig) -> ApproxSchedule:
         )
     if config.source not in ("designed", "gaussian", "file"):
         raise ValueError(f"unknown problem source {config.source!r}")
+    # a file's rank is known only after its SVD, a designed F has rank rows
+    # and a gaussian one full rank
+    full_rank = min(config.rows, config.cols)
     if config.source == "file":
         if not config.source_path:
             raise ValueError("source 'file' needs source_path")
@@ -147,24 +150,21 @@ def validate_experiment(config: ExperimentConfig) -> ApproxSchedule:
                 f"source_path holds F {F.shape} and b {b.shape}, the config "
                 f"needs F ({config.rows}, {config.cols}) and b ({config.rows},)"
             )
-    if not config.phases:
-        raise ValueError("schedule needs at least one phase")
-    if config.rank > min(config.rows, config.cols):
-        raise ValueError(
-            f"rank {config.rank} exceeds min(rows, cols) = "
-            f"{min(config.rows, config.cols)}"
-        )
-    if config.source == "designed" and config.rows > config.cols:
+        if config.rank > full_rank:
+            raise ValueError(
+                f"rank {config.rank} exceeds min(rows, cols) = {full_rank}"
+            )
+    elif config.source == "designed" and config.rows > config.cols:
         raise ValueError(
             f"source 'designed' needs rows <= cols, got {config.rows} x {config.cols}"
         )
-    # a designed F has rank rows, a gaussian one full rank; a file's rank is
-    # known only after its SVD
-    if config.source != "file" and config.rank != min(config.rows, config.cols):
+    elif config.rank != full_rank:
         raise ValueError(
-            f"source {config.source!r} gives rank "
-            f"{min(config.rows, config.cols)}, the config says {config.rank}"
+            f"source {config.source!r} gives rank {full_rank}, "
+            f"the config says {config.rank}"
         )
+    if not config.phases:
+        raise ValueError("schedule needs at least one phase")
     if max(rank for rank, _ in config.phases) > config.rank:
         raise ValueError("phase ranks exceed the problem rank")
     config.latency_model()

@@ -77,39 +77,36 @@ class LassoProblem:
 
 # Singular values at or below this fraction of the largest count as zero.
 SVD_RCOND = 1e-12
-# Factors taken through the Gram matrix are kept only when the derived factor
-# Q (V for wide F, U for tall F) has max|Q^T Q - I| <= this.  Q^T Q - I is
-# diag(1/sigma) E diag(1/sigma) for the eigensolver's residual E, so the
-# bound caps each singular value's relative error and each factor's loss of
-# orthogonality near 1e-13, while LAPACK's own SVD reaches about 1e-15 on
-# these sizes.  Rounding in the Gram matrix grows with cond(F)^2, so F with
-# a condition number above about 30 fails it.
+# Factors taken through the Gram matrix are kept only when the derived V has
+# max|V^T V - I| <= this.  V^T V - I is diag(1/sigma) E diag(1/sigma) for the
+# eigensolver's residual E, so the bound caps each singular value's relative
+# error and V's loss of orthogonality near 1e-13, while LAPACK's own SVD
+# reaches about 1e-15 on these sizes.  Rounding in F F^T grows with cond(F)^2,
+# so the check, not a condition-number threshold, decides: ill-conditioned F
+# fails it and goes to LAPACK.  With sigma spaced geometrically from 1 to
+# 1/cond between random orthonormal factors, every 38 x 500 F with cond <= 25
+# passed, 2 of 10 passed at cond 50 and none from cond 80 on (at 150 x 5000:
+# all up to cond 50, none at 80).  A `designed` F has cond(F) = 1/sigma_decay,
+# about 1.43 by default.
 GRAM_ORTHO_TOL = 1e-13
 
 
 def _gram_factors(
     F: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(U, sigma, V) of F from the eigendecomposition of its smaller Gram
-    matrix, or None when GRAM_ORTHO_TOL cannot certify them."""
-    wide = F.shape[0] <= F.shape[1]
-    lam, W = np.linalg.eigh(F @ F.T if wide else F.T @ F)
+    """(U, sigma, V) of a wide F from the eigendecomposition of F F^T, or None
+    for tall F and whenever GRAM_ORTHO_TOL cannot certify them."""
+    if F.shape[0] > F.shape[1]:
+        return None
+    lam, W = np.linalg.eigh(F @ F.T)
     if lam.size == 0 or not lam[0] > 0.0:  # also catches NaN
         return None
     sigma = np.sqrt(lam[::-1])
-    W = W[:, ::-1]  # eigh sorts ascending
-    if wide:
-        Q = W.T @ F  # V^T, C order, so V = Q.T is column-major
-        Q /= sigma[:, None]
-        U, V = W, Q.T
-        QtQ = Q @ V
-    else:
-        V = np.asfortranarray(W)
-        Q = F @ V  # U
-        Q /= sigma
-        U = Q
-        QtQ = Q.T @ Q
-    if not np.abs(QtQ - np.eye(sigma.size)).max() <= GRAM_ORTHO_TOL:
+    U = W[:, ::-1]  # eigh sorts ascending
+    Vt = U.T @ F  # C order, so V = Vt.T is column-major
+    Vt /= sigma[:, None]
+    V = Vt.T
+    if not np.abs(Vt @ V - np.eye(sigma.size)).max() <= GRAM_ORTHO_TOL:
         return None
     return U, sigma, V
 
@@ -126,8 +123,8 @@ class SvdFactors:
     def from_matrix(cls, F: np.ndarray) -> "SvdFactors":
         """Factors of F, sigma descending and V column-major.
 
-        Well-conditioned full-rank F is factored through the eigenvectors of
-        its smaller Gram matrix and one product with F; every other F, and
+        A wide (rows <= cols), well-conditioned, full-rank F is factored
+        through the eigenvectors of F F^T and one product with F; tall F, and
         any result that fails the GRAM_ORTHO_TOL check, goes to LAPACK's SVD,
         which drops singular values at or below SVD_RCOND * sigma_1.
         """

@@ -535,7 +535,7 @@ class TestCli:
         assert not out.exists()
 
     def test_tall_gaussian_source_runs(self, tmp_path, capsys):
-        # rows > cols: the SVD factors F^T F and the problem has rank cols
+        # rows > cols: the problem has rank cols
         ini = tmp_path / "tall.ini"
         ini.write_text(FAST_CUSTOM.replace("rows = 38", "rows = 60")
                        .replace("cols = 500", "cols = 38")

@@ -131,16 +131,8 @@ class TestSvdPaths:
 
         monkeypatch.setattr(np.linalg, "svd", unused)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: designed_problem(SeededRng(4).spawn(0, 0)).problem.F,
-            lambda: gaussian_problem(SeededRng(5), rows=60, cols=20).F,
-        ],
-        ids=["designed-wide", "gaussian-tall"],
-    )
-    def test_gram_route(self, monkeypatch, make):
-        F = make()
+    def test_gram_route(self, monkeypatch):
+        F = designed_problem(SeededRng(4).spawn(0, 0)).problem.F
         self.forbid_lapack(monkeypatch)
         svd = SvdFactors.from_matrix(F)
         monkeypatch.undo()
@@ -154,11 +146,8 @@ class TestSvdPaths:
         assert svd.rank == 37
         assert_factors_match_lapack(svd, F, 1e-13)
 
-    def test_ill_conditioned_falls_back(self, monkeypatch):
-        rng = np.random.default_rng(1)
-        Q1, _ = np.linalg.qr(rng.standard_normal((38, 38)))
-        Q2, _ = np.linalg.qr(rng.standard_normal((500, 38)))
-        F = Q1 @ (np.logspace(0, -7, 38)[:, None] * Q2.T)
+    @staticmethod
+    def assert_lapack_route(monkeypatch, F):
         calls = []
         lapack = np.linalg.svd
 
@@ -174,6 +163,17 @@ class TestSvdPaths:
         np.testing.assert_array_equal(svd.sigma, sigma)
         np.testing.assert_array_equal(svd.V, Vt.T)
         assert svd.V.flags.f_contiguous
+
+    def test_ill_conditioned_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        Q1, _ = np.linalg.qr(rng.standard_normal((38, 38)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((500, 38)))
+        F = Q1 @ (np.logspace(0, -7, 38)[:, None] * Q2.T)
+        self.assert_lapack_route(monkeypatch, F)
+
+    def test_tall_goes_to_lapack(self, monkeypatch):
+        F = gaussian_problem(SeededRng(5), rows=60, cols=20).F
+        self.assert_lapack_route(monkeypatch, F)
 
     def test_non_finite_matrix_raises(self):
         F = designed_problem(SeededRng(4).spawn(0, 0)).problem.F.copy()

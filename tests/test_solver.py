@@ -123,6 +123,14 @@ def assert_factors_match_lapack(svd, F, tol):
     assert svd.V.flags.f_contiguous
 
 
+def ill_conditioned_matrix():
+    """38 x 500 with sigma spanning 1 ... 1e-7."""
+    rng = np.random.default_rng(1)
+    Q1, _ = np.linalg.qr(rng.standard_normal((38, 38)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((500, 38)))
+    return Q1 @ (np.logspace(0, -7, 38)[:, None] * Q2.T)
+
+
 class TestSvdPaths:
     @staticmethod
     def forbid_lapack(monkeypatch):
@@ -146,8 +154,16 @@ class TestSvdPaths:
         assert svd.rank == 37
         assert_factors_match_lapack(svd, F, 1e-13)
 
-    @staticmethod
-    def assert_lapack_route(monkeypatch, F):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            ill_conditioned_matrix,
+            lambda: gaussian_problem(SeededRng(5), rows=60, cols=20).F,
+        ],
+        ids=["ill-conditioned", "tall"],
+    )
+    def test_lapack_route(self, monkeypatch, make):
+        F = make()
         calls = []
         lapack = np.linalg.svd
 
@@ -163,17 +179,6 @@ class TestSvdPaths:
         np.testing.assert_array_equal(svd.sigma, sigma)
         np.testing.assert_array_equal(svd.V, Vt.T)
         assert svd.V.flags.f_contiguous
-
-    def test_ill_conditioned_falls_back(self, monkeypatch):
-        rng = np.random.default_rng(1)
-        Q1, _ = np.linalg.qr(rng.standard_normal((38, 38)))
-        Q2, _ = np.linalg.qr(rng.standard_normal((500, 38)))
-        F = Q1 @ (np.logspace(0, -7, 38)[:, None] * Q2.T)
-        self.assert_lapack_route(monkeypatch, F)
-
-    def test_tall_goes_to_lapack(self, monkeypatch):
-        F = gaussian_problem(SeededRng(5), rows=60, cols=20).F
-        self.assert_lapack_route(monkeypatch, F)
 
     def test_non_finite_matrix_raises(self):
         F = designed_problem(SeededRng(4).spawn(0, 0)).problem.F.copy()

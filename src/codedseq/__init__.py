@@ -9,7 +9,6 @@ from .cluster import LatencyModel, SeededRng, order_stat_mean, sample_round, sim
 from .codec import (
     InfeasibleConfiguration,
     InsufficientResults,
-    PackingFailure,
     RowTag,
     SystematicGenerator,
     WorkerMatrix,
@@ -44,7 +43,6 @@ from .solver import (
     SvdFactors,
     optimality_residual,
     reference_solution,
-    run_baseline,
     run_sequential,
     sequential_matvec,
     soft_threshold,

@@ -93,7 +93,11 @@ def _cmd_demo_encode(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"cannot write --output: {exc}", file=sys.stderr)
+            return RUNTIME_ERROR
     else:
         sys.stdout.write(text)
 

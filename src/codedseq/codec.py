@@ -25,7 +25,6 @@ from .feasibility import Configuration, check_feasible, row_count_s
 
 __all__ = [
     "InfeasibleConfiguration",
-    "PackingFailure",
     "InsufficientResults",
     "RowTag",
     "SystematicGenerator",
@@ -48,10 +47,6 @@ SUPPORT_COLS_PER_NONZERO = 16
 
 class InfeasibleConfiguration(ValueError):
     """The configuration violates the row-budget bound."""
-
-
-class PackingFailure(RuntimeError):
-    """No remainder-row placement respects per-worker capacity."""
 
 
 class InsufficientResults(RuntimeError):
@@ -204,7 +199,9 @@ def make_layout(cfg: Configuration) -> Layout:
     row_count_s(i, rows_in, L) rows.
     Full-block row r goes to worker r+1.  Remainder-block rows go one each to
     the currently least-loaded workers (ties to the lower worker index),
-    levels processed in increasing order.
+    levels processed in increasing order.  A full block codes to one row per
+    worker, so worker loads never differ by more than one and the largest is
+    ceil(total / L) <= n on a feasible configuration.
     """
     budget = check_feasible(cfg)
     if not budget.feasible:
@@ -227,9 +224,6 @@ def make_layout(cfg: Configuration) -> Layout:
                 tags[w].append(RowTag(level=level, block=index, row=r, systematic=r < rows_in))
             blocks.append(Block(level, index, start, rows_in, rows_out, homes, slots))
         levels.append(tuple(blocks))
-    for w, rows in enumerate(tags):
-        if len(rows) > cfg.n:
-            raise PackingFailure(f"worker {w + 1} holds {len(rows)} > n rows")
     return Layout(tuple(levels), tuple(map(tuple, tags)), offsets)
 
 

@@ -7,13 +7,13 @@ import os
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .cluster import LatencyModel, SeededRng
 from .feasibility import Configuration, feasible_configs
-from .problems import designed_problem, gaussian_problem
+from .problems import HIDDEN_MODE, designed_problem, gaussian_problem
 from .solver import (
     ApproxSchedule,
     LassoProblem,
@@ -21,7 +21,6 @@ from .solver import (
     SvdFactors,
     baseline_schedule,
     reference_solution,
-    run_baseline,
     run_sequential,
 )
 
@@ -129,18 +128,25 @@ def resolve_configuration(config: ExperimentConfig) -> Configuration:
     return first_fit(ells)[0]
 
 
-def validate_experiment(config: ExperimentConfig) -> ApproxSchedule:
-    """Resolve and validate everything the run depends on; returns the schedule."""
+def validate_experiment(
+    config: ExperimentConfig,
+) -> tuple[ApproxSchedule, ApproxSchedule, Callable[[SeededRng], LassoProblem]]:
+    """Decide everything the run depends on before its first replication.
+
+    Returns the sequential schedule, the baseline schedule and ``draw``, which
+    gives one replication's problem from that replication's stream.  A file
+    source is read here once and every draw returns it; a generated source
+    looks its generator up by name at each draw.
+    """
     if config.label in PRESET_NAMES and config != make_preset(config.label):
         raise ValueError(
             f"label {config.label!r} is reserved for the fixed preset; "
             "custom parameters must use a different label"
         )
-    if config.source not in ("designed", "gaussian", "file"):
-        raise ValueError(f"unknown problem source {config.source!r}")
     # a file's rank is known only after its SVD, a designed F has rank rows
     # and a gaussian one full rank
     full_rank = min(config.rows, config.cols)
+    shape = {"rows": config.rows, "cols": config.cols, "gamma": config.gamma}
     if config.source == "file":
         if not config.source_path:
             raise ValueError("source 'file' needs source_path")
@@ -154,25 +160,38 @@ def validate_experiment(config: ExperimentConfig) -> ApproxSchedule:
             raise ValueError(
                 f"rank {config.rank} exceeds min(rows, cols) = {full_rank}"
             )
-    elif config.source == "designed" and config.rows > config.cols:
-        raise ValueError(
-            f"source 'designed' needs rows <= cols, got {config.rows} x {config.cols}"
-        )
-    elif config.rank != full_rank:
+        problem = LassoProblem(F=F, b=b, gamma=config.gamma)
+
+        def draw(rng: SeededRng) -> LassoProblem:
+            return problem
+    elif config.source == "designed":
+        if config.rows > config.cols:
+            raise ValueError(f"source 'designed' needs rows <= cols, "
+                             f"got {config.rows} x {config.cols}")
+        if config.rows < HIDDEN_MODE:
+            raise ValueError(f"source 'designed' needs rows >= {HIDDEN_MODE}, "
+                             f"got {config.rows}")
+
+        def draw(rng: SeededRng) -> LassoProblem:
+            return designed_problem(rng, **shape).problem
+    elif config.source == "gaussian":
+
+        def draw(rng: SeededRng) -> LassoProblem:
+            return gaussian_problem(rng, **shape)
+    else:
+        raise ValueError(f"unknown problem source {config.source!r}")
+    if config.source != "file" and config.rank != full_rank:
         raise ValueError(
             f"source {config.source!r} gives rank {full_rank}, "
             f"the config says {config.rank}"
         )
-    if not config.phases:
-        raise ValueError("schedule needs at least one phase")
-    if max(rank for rank, _ in config.phases) > config.rank:
-        raise ValueError("phase ranks exceed the problem rank")
     config.latency_model()
-    cfg = resolve_configuration(config)
-    schedule = ApproxSchedule.build(cfg, config.phases)
-    # run_baseline builds the same schedule, but only after a replication's set-up
-    baseline_schedule(config.L, config.n, config.rank, config.baseline_iterations)
-    return schedule
+    schedule = ApproxSchedule.build(resolve_configuration(config), config.phases)
+    if schedule.phases[-1].rank > config.rank:  # phase ranks increase
+        raise ValueError("phase ranks exceed the problem rank")
+    baseline = baseline_schedule(
+        config.L, config.n, config.rank, config.baseline_iterations)
+    return schedule, baseline, draw
 
 
 def _load_source(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -182,19 +201,6 @@ def _load_source(path: str) -> tuple[np.ndarray, np.ndarray]:
             return data["F"], data["b"]
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise ValueError(f"cannot read F and b from source_path {path!r}: {exc}") from exc
-
-
-def _build_problem(config: ExperimentConfig, rng: SeededRng) -> LassoProblem:
-    if config.source == "designed":
-        return designed_problem(
-            rng, rows=config.rows, cols=config.cols, gamma=config.gamma
-        ).problem
-    if config.source == "gaussian":
-        return gaussian_problem(
-            rng, rows=config.rows, cols=config.cols, gamma=config.gamma
-        )
-    F, b = _load_source(config.source_path)
-    return LassoProblem(F=F, b=b, gamma=config.gamma)
 
 
 def _fmt(v: float) -> str:
@@ -340,25 +346,26 @@ def run_experiment(
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    schedule_template = validate_experiment(config)
+    schedule, baseline, draw = validate_experiment(config)
     model = config.latency_model()
     root = SeededRng(seed)
 
     all_rows: list[list[str]] = []
     for rep in range(replications):
-        problem = _build_problem(config, root.spawn(rep, 0))
+        problem = draw(root.spawn(rep, 0))
         svd = SvdFactors.from_matrix(problem.F)
         if svd.rank != config.rank:
             raise RuntimeError(
                 f"replication {rep}: problem rank {svd.rank} != {config.rank}"
             )
         x_star, _ = reference_solution(problem, svd=svd)
-        base = run_baseline(
-            problem, config.L, config.n, model, root.spawn(rep, 2),
-            config.baseline_iterations, svd=svd, x_star=x_star,
+        # only the sequential run charges the transpose round: the baseline
+        # waits once per iteration, as bench/layers.py counts cluster.wait
+        base = run_sequential(
+            problem, baseline, model, root.spawn(rep, 2), svd=svd, x_star=x_star,
         )
         seq = run_sequential(
-            problem, schedule_template, model, root.spawn(rep, 1),
+            problem, schedule, model, root.spawn(rep, 1),
             svd=svd, x_star=x_star,
             charge_second_round=config.charge_second_round,
         )

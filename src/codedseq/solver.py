@@ -34,7 +34,6 @@ __all__ = [
     "truncate_svd",
     "sequential_matvec",
     "run_sequential",
-    "run_baseline",
     "baseline_schedule",
     "reference_solution",
     "optimality_residual",
@@ -372,27 +371,6 @@ def baseline_schedule(
     raise ValueError(f"no single-level configuration supports rank {rank} on (L={L}, n={n})")
 
 
-def run_baseline(
-    problem: LassoProblem,
-    L: int,
-    n: int,
-    model: LatencyModel,
-    seed: "int | SeededRng",
-    iterations: int,
-    *,
-    svd: SvdFactors | None = None,
-    x_star: np.ndarray | None = None,
-    keep_iterates: bool = False,
-) -> RunTrace:
-    """The non-sequential reference: one exact phase at full rank."""
-    svd = svd if svd is not None else SvdFactors.from_matrix(problem.F)
-    schedule = baseline_schedule(L, n, svd.rank, iterations)
-    return run_sequential(
-        problem, schedule, model, seed,
-        svd=svd, x_star=x_star, keep_iterates=keep_iterates,
-    )
-
-
 def subgradient_residual(g: np.ndarray, x: np.ndarray, gamma: float) -> float:
     """Distance of -g from gamma * (subdifferential of ||x||_1), in max norm."""
     on = x != 0
@@ -428,20 +406,16 @@ def reference_solution(
     (F_S^T F_S) z = F_S^T b - gamma s, zero elsewhere.
     That point is returned only if it passes the same residual test; if not
     (wrong support, singular F_S^T F_S), ISTA goes on from its own iterate.
-    The step is 1/sigma_max(F)^2, taken from ``svd`` when the caller holds
-    the factors of F and from the smaller Gram matrix otherwise.
+    The step is 1/sigma_max(F)^2, read from ``svd`` when the caller holds
+    the factors of F and from ``SvdFactors.from_matrix(F)`` otherwise.
 
     Returns (x_star, residual).  Raises if the cap is hit first.
     """
     F, b, gamma = problem.F, problem.b, problem.gamma
-    if svd is not None:
-        sigma_max_sq = float(svd.sigma[0]) ** 2 if svd.rank else 0.0
-    else:
-        gram = F @ F.T if problem.rows <= problem.cols else F.T @ F
-        sigma_max_sq = float(np.linalg.eigvalsh(gram)[-1])
-    if sigma_max_sq <= 0.0:
+    svd = svd if svd is not None else SvdFactors.from_matrix(F)
+    if not svd.rank:
         return np.zeros(problem.cols), 0.0
-    t = 1.0 / sigma_max_sq
+    t = 1.0 / float(svd.sigma[0]) ** 2
     h = F.T @ b
     x = np.zeros(problem.cols)
     for k in range(1, max_iter + 1):

@@ -270,14 +270,20 @@ class TestRunExperiment:
     def test_reference_takes_sigma_max_from_held_factors(
         self, tmp_path, custom_config_file, monkeypatch
     ):
-        def unused(*args):
-            raise AssertionError("the replication's SVD already holds sigma_max")
+        # the replication's SVD already holds sigma_max: one factorisation each
+        calls = []
+        from_matrix = harness_module.SvdFactors.from_matrix
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+        def counting(F):
+            calls.append(1)
+            return from_matrix(F)
+
+        monkeypatch.setattr(harness_module.SvdFactors, "from_matrix", counting)
         config = parse_config_file(custom_config_file)
-        summary = run_experiment(config, seed=7, replications=1,
+        summary = run_experiment(config, seed=7, replications=2,
                                  output=tmp_path / "trace.csv")
-        assert summary.replications == 1
+        assert summary.replications == 2
+        assert len(calls) == 2
 
     def test_different_seed_differs(self, tmp_path, custom_config_file):
         config = parse_config_file(custom_config_file)
@@ -348,7 +354,7 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             parse_config_file(tmp_path / "absent.ini")
 
-    def test_file_source(self, tmp_path):
+    def test_file_source(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
         F = rng.standard_normal((6, 12))
         b = rng.standard_normal(6)
@@ -364,10 +370,20 @@ class TestParseConfig:
             "[configuration]\nk = 3,3\n"
         )
         config = parse_config_file(ini)
+        # validation reads the archive, and every replication reuses it
+        calls = []
+        load = harness_module._load_source
+
+        def counting(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(harness_module, "_load_source", counting)
         out = tmp_path / "trace.csv"
-        summary = run_experiment(config, seed=1, replications=1, output=out)
-        assert summary.replications == 1
-        assert len(read_trace_csv(out)) == 25 + 25
+        summary = run_experiment(config, seed=1, replications=3, output=out)
+        assert summary.replications == 3
+        assert len(calls) == 1
+        assert len(read_trace_csv(out)) == 3 * (25 + 25)
 
 
 class TestCli:
@@ -400,6 +416,16 @@ class TestCli:
         assert "decode self-test: pass (15 subsets" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 12  # header + one line per coded row
+
+    def test_demo_encode_unwritable_output_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dump.csv"
+        code = main(["demo-encode", "--L", "4", "--n", "3", "--k", "0,3,3,1",
+                     "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "cannot write --output" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_demo_encode_single_row(self, capsys):
         assert main(["demo-encode", "--L", "1", "--n", "1", "--k", "1",
@@ -532,6 +558,27 @@ class TestCli:
         code = main(["experiment", "custom", "--config", str(ini), "--output", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_designed_source_too_few_rows_exits_before_any_replication(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a designed instance hides its fringe in mode HIDDEN_MODE (16), so it
+        # needs at least that many rows
+        def no_problem(*args, **kwargs):
+            raise AssertionError("a problem was generated before validation ended")
+
+        monkeypatch.setattr(harness_module, "designed_problem", no_problem)
+        ini = tmp_path / "small.ini"
+        ini.write_text(FAST_CUSTOM.replace("rows = 38", "rows = 12")
+                       .replace("cols = 500", "cols = 60")
+                       .replace("rank = 38", "rank = 12")
+                       .replace("phases = 6:10, 38:60", "phases = 6:10, 12:60")
+                       .replace("k = 0,0,6,32", "k = auto"))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini), "--output", str(out)])
+        assert code == 2
+        assert "source 'designed' needs rows >= 16, got 12" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tall_gaussian_source_runs(self, tmp_path, capsys):

@@ -72,6 +72,16 @@ class TestGaussian:
         sv = np.linalg.svd(prob.F, compute_uv=False)
         assert sv[-1] > 1e-10 * sv[0]
 
+    def test_single_draw_without_svd(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("the harness checks the rank; the generator draws once")
+
+        monkeypatch.setattr(np.linalg, "svd", unused)
+        prob = gaussian_problem(SeededRng(2), rows=5, cols=9)
+        gen = SeededRng(2).generator
+        np.testing.assert_array_equal(prob.F, gen.standard_normal((5, 9)))
+        np.testing.assert_array_equal(prob.b, gen.standard_normal(5))
+
     def test_determinism(self):
         a = gaussian_problem(SeededRng(1))
         b = gaussian_problem(SeededRng(1))

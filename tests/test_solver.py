@@ -19,9 +19,9 @@ from codedseq.solver import (
     LassoProblem,
     Phase,
     SvdFactors,
+    baseline_schedule,
     optimality_residual,
     reference_solution,
-    run_baseline,
     run_sequential,
     sequential_matvec,
     soft_threshold,
@@ -564,9 +564,9 @@ class TestRunSequential:
 class TestBaseline:
     def test_uses_cheapest_single_level(self):
         problem, svd, cfg, _ = tiny_coded_setup(12)
-        trace = run_baseline(
-            problem, 3, 3, LatencyModel.deterministic(1.0), 0, 5,
-            svd=svd, x_star=np.zeros(15),
+        trace = run_sequential(
+            problem, baseline_schedule(3, 3, svd.rank, 5),
+            LatencyModel.deterministic(1.0), 0, svd=svd, x_star=np.zeros(15),
         )
         # rank 6 on (L=3, n=3) needs all three workers: cost 1.0 each round
         assert trace.iter_time[0] == 1.0
@@ -575,9 +575,9 @@ class TestBaseline:
     def test_reference_cluster_waits_for_all_four(self):
         rng = SeededRng(79)
         problem = designed_problem(rng).problem
-        trace = run_baseline(
-            problem, 4, 10, LatencyModel.deterministic(1.0), 0, 3,
-            x_star=np.zeros(500),
+        trace = run_sequential(
+            problem, baseline_schedule(4, 10, 38, 3),
+            LatencyModel.deterministic(1.0), 0, x_star=np.zeros(500),
         )
         assert len(trace) == 3
         # (0,0,0,38) is feasible on (4,10), so ell*=4 and the run exists
@@ -585,10 +585,11 @@ class TestBaseline:
 
     def test_same_seed_identical(self):
         problem, svd, cfg, _ = tiny_coded_setup(13)
-        a = run_baseline(problem, 3, 3, LatencyModel.exponential(1.0), 9, 4,
-                         svd=svd, x_star=np.zeros(15))
-        b = run_baseline(problem, 3, 3, LatencyModel.exponential(1.0), 9, 4,
-                         svd=svd, x_star=np.zeros(15))
+        schedule = baseline_schedule(3, 3, svd.rank, 4)
+        a = run_sequential(problem, schedule, LatencyModel.exponential(1.0), 9,
+                           svd=svd, x_star=np.zeros(15))
+        b = run_sequential(problem, schedule, LatencyModel.exponential(1.0), 9,
+                           svd=svd, x_star=np.zeros(15))
         assert_same_columns(a, b)
 
     def test_mean_iteration_time_matches_order_statistic(self):
@@ -598,9 +599,9 @@ class TestBaseline:
 
         rng = SeededRng(80)
         problem = designed_problem(rng).problem
-        trace = run_baseline(
-            problem, 4, 10, LatencyModel.exponential(1.0), 17, 800,
-            x_star=np.zeros(500),
+        trace = run_sequential(
+            problem, baseline_schedule(4, 10, 38, 800),
+            LatencyModel.exponential(1.0), 17, x_star=np.zeros(500),
         )
         times = trace.iter_time
         expected = order_stat_mean(LatencyModel.exponential(1.0), 4, 4)
@@ -732,16 +733,17 @@ class TestReferenceSolution:
     def test_caller_factors_replace_gram_spectrum(self, monkeypatch):
         problem = designed_problem(SeededRng(3).spawn(0, 0)).problem
         svd = SvdFactors.from_matrix(problem.F)
-        x_gram, _ = reference_solution(problem)
+        # without svd= the solver factors F itself, through from_matrix
+        x_own, _ = reference_solution(problem)
 
         def unused(*args):
             raise AssertionError("sigma_max is known from the caller's factors")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+        monkeypatch.setattr(SvdFactors, "from_matrix", unused)
         x, res = reference_solution(problem, svd=svd)
         assert res <= 1e-10
         assert optimality_residual(problem, x) == res
-        assert np.linalg.norm(x - x_gram) / np.linalg.norm(x_gram) <= 1e-8
+        np.testing.assert_array_equal(x, x_own)
 
     def test_rank_zero_factors_give_zero(self):
         problem = LassoProblem(F=np.zeros((4, 9)), b=np.ones(4), gamma=0.5)

@@ -9,8 +9,6 @@ from .cluster import LatencyModel, SeededRng, order_stat_mean, sample_round, sim
 from .codec import (
     InfeasibleConfiguration,
     InsufficientResults,
-    RowTag,
-    SystematicGenerator,
     WorkerMatrix,
     WorkerResult,
     decode_prefix,

@@ -86,7 +86,7 @@ def _cmd_demo_encode(args) -> int:
     workers = encode_all(A, cfg)
 
     lines = ["worker_id,level,block,row,systematic,coefficients"]
-    for rec in dump_rows(workers, cfg):
+    for rec in dump_rows(cfg):
         lines.append(
             f"{rec['worker_id']},{rec['level']},{rec['block']},{rec['row']},"
             f"{rec['systematic']},\"{rec['coefficients']}\""

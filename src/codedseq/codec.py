@@ -6,7 +6,9 @@ block layout (``make_layout``): each level's rows are split into blocks of i
 rows (plus a remainder block), every block is expanded with a systematic MDS
 code whose parity part is a Cauchy matrix, and the coded rows are dealt across
 the L workers so that any ell responders jointly determine the first h_ell
-entries of A z.  Encoding, decoding and the row dump all read that layout.
+entries of A z.  All coded rows live in one stacked matrix, each worker's rows
+a contiguous slice of it.  Encoding, decoding and the row dump all read that
+layout.
 Decoding from a responder set is one product with a decode matrix built the
 first time that set responds.  Products with a large matrix
 read only the columns on the vector's support (``support_product``).
@@ -15,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,8 +28,6 @@ from .feasibility import Configuration, check_feasible, row_count_s
 __all__ = [
     "InfeasibleConfiguration",
     "InsufficientResults",
-    "RowTag",
-    "SystematicGenerator",
     "WorkerMatrix",
     "WorkerResult",
     "make_generator",
@@ -54,40 +54,21 @@ class InsufficientResults(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RowTag:
-    """Provenance of one coded row: level (1-based), block and row (0-based)."""
-
-    level: int
-    block: int
-    row: int
-    systematic: bool
-
-
-@dataclass(frozen=True)
-class SystematicGenerator:
-    """rows_out x rows_in generator whose top square block is the identity."""
-
-    rows_in: int
-    rows_out: int
-    coefficients: np.ndarray
-
-
-@dataclass(frozen=True)
 class WorkerMatrix:
-    """One worker's stored coded rows with per-row provenance tags."""
+    """One worker's stored coded rows, a view of the layout's stacked matrix."""
 
     worker_id: int
     rows: np.ndarray
-    tags: tuple[RowTag, ...]
+    layout: Layout
 
 
 @dataclass(frozen=True)
 class WorkerResult:
-    """One worker's multiplication output, tags preserved."""
+    """One worker's multiplication output and the layout that placed its rows."""
 
     worker_id: int
     y: np.ndarray
-    tags: tuple[RowTag, ...]
+    layout: Layout
 
 
 def _cauchy_parity(rows_in: int, parity: int) -> np.ndarray:
@@ -99,8 +80,9 @@ def _cauchy_parity(rows_in: int, parity: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def make_generator(rows_in: int, rows_out: int) -> SystematicGenerator:
-    """Deterministic systematic MDS generator (identity over Cauchy parity).
+def make_generator(rows_in: int, rows_out: int) -> np.ndarray:
+    """Deterministic systematic MDS generator: the read-only rows_out x rows_in
+    array of the identity over a Cauchy parity block.
 
     For rows_out <= MDS_CHECK_LIMIT every square submatrix is verified
     invertible; failure raises, since decoding correctness depends on it.
@@ -111,7 +93,6 @@ def make_generator(rows_in: int, rows_out: int) -> SystematicGenerator:
         [np.eye(rows_in), _cauchy_parity(rows_in, rows_out - rows_in)]
     )
     coeffs.setflags(write=False)
-    gen = SystematicGenerator(rows_in=rows_in, rows_out=rows_out, coefficients=coeffs)
     if rows_out <= MDS_CHECK_LIMIT:
         for rows in combinations(range(rows_out), rows_in):
             sub = coeffs[list(rows)]
@@ -121,7 +102,7 @@ def make_generator(rows_in: int, rows_out: int) -> SystematicGenerator:
                     f"MDS self-check failed for rows {rows} of generator "
                     f"({rows_in}, {rows_out})"
                 )
-    return gen
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -142,7 +123,7 @@ class Block:
     slots: tuple[int, ...]
 
     @property
-    def generator(self) -> SystematicGenerator:
+    def generator(self) -> np.ndarray:
         return make_generator(self.rows_in, self.rows_out)
 
 
@@ -150,15 +131,15 @@ class Block:
 class Layout:
     """Block geometry and row placement of one configuration (``make_layout``).
 
-    ``levels[i-1]`` lists the blocks of level i; ``tags[w]`` lists the coded
-    rows of worker w+1 in storage order; level i holds rows
+    ``levels[i-1]`` lists the blocks of level i; worker w+1 stores rows
+    ``starts[w]:starts[w+1]`` of the stacked coded matrix; level i holds rows
     ``offsets[i-1]:offsets[i]`` of the source, so ell responders decode the
     first ``offsets[ell]`` entries of A z.  ``decoders`` caches one
     decode matrix per responder set.
     """
 
     levels: tuple[tuple[Block, ...], ...]
-    tags: tuple[tuple[RowTag, ...], ...]
+    starts: tuple[int, ...]
     offsets: tuple[int, ...]
     decoders: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict, repr=False)
 
@@ -174,7 +155,7 @@ class Layout:
         width = 0
         for w in responders:
             column[w - 1] = width
-            width += len(self.tags[w - 1])
+            width += self.starts[w] - self.starts[w - 1]
         ell = len(responders)
         D = np.zeros((self.offsets[ell], width))
         for blocks in self.levels[:ell]:
@@ -182,7 +163,7 @@ class Layout:
                 got = [(r, column[w] + s) for r, (w, s) in enumerate(zip(blk.homes, blk.slots))
                        if w in column]
                 idx, cols = map(list, zip(*got[: blk.rows_in]))
-                sub = blk.generator.coefficients[idx]  # the identity if idx is systematic
+                sub = blk.generator[idx]  # the identity if idx is systematic
                 D[blk.start : blk.start + blk.rows_in, cols] = (
                     sub if idx == list(range(blk.rows_in)) else np.linalg.inv(sub))
         D.setflags(write=False)
@@ -208,7 +189,7 @@ def make_layout(cfg: Configuration) -> Layout:
         raise InfeasibleConfiguration(
             f"row budget {budget.total} exceeds capacity {budget.capacity}"
         )
-    tags: list[list[RowTag]] = [[] for _ in range(cfg.L)]
+    loads = [0] * cfg.L
     offsets = (0, *cfg.cumulative_ranks())
     levels = []
     for level in range(1, cfg.L + 1):
@@ -217,19 +198,20 @@ def make_layout(cfg: Configuration) -> Layout:
             rows_in = min(level, offsets[level] - start)
             rows_out = row_count_s(level, rows_in, cfg.L)
             order = range(cfg.L) if rows_in == level else sorted(
-                range(cfg.L), key=lambda w: (len(tags[w]), w))
+                range(cfg.L), key=lambda w: (loads[w], w))
             homes = tuple(order[:rows_out])
-            slots = tuple(len(tags[w]) for w in homes)
-            for r, w in enumerate(homes):
-                tags[w].append(RowTag(level=level, block=index, row=r, systematic=r < rows_in))
+            slots = tuple(loads[w] for w in homes)
+            for w in homes:
+                loads[w] += 1
             blocks.append(Block(level, index, start, rows_in, rows_out, homes, slots))
         levels.append(tuple(blocks))
-    return Layout(tuple(levels), tuple(map(tuple, tags)), offsets)
+    return Layout(tuple(levels), tuple(accumulate(loads, initial=0)), offsets)
 
 
 def encode_all(A: np.ndarray, cfg: Configuration) -> list[WorkerMatrix]:
-    """Encode the source A, whose h_L rows are in level order, and deal the
-    coded rows across L workers as the configuration's layout places them."""
+    """Encode the source A, whose h_L rows are in level order, into one stacked
+    coded matrix placed as the configuration's layout says; each worker's
+    matrix is its slice of the stack."""
     layout = make_layout(cfg)
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != layout.offsets[-1]:
@@ -237,17 +219,16 @@ def encode_all(A: np.ndarray, cfg: Configuration) -> list[WorkerMatrix]:
             f"source of shape {A.shape} does not stack the {layout.offsets[-1]} "
             f"rows of configuration {cfg.k}"
         )
-    stored = [np.empty((len(tags), A.shape[1])) for tags in layout.tags]
+    starts = layout.starts
+    W = np.empty((starts[-1], A.shape[1]))
     for blocks in layout.levels:
         for blk in blocks:
-            coded = blk.generator.coefficients @ A[blk.start : blk.start + blk.rows_in]
-            for w, slot, row in zip(blk.homes, blk.slots, coded):
-                stored[w][slot] = row
-    for rows in stored:
-        rows.setflags(write=False)
+            W[[starts[w] + s for w, s in zip(blk.homes, blk.slots)]] = (
+                blk.generator @ A[blk.start : blk.start + blk.rows_in])
+    W.setflags(write=False)
     return [
-        WorkerMatrix(worker_id=w + 1, rows=rows, tags=tags)
-        for w, (rows, tags) in enumerate(zip(stored, layout.tags))
+        WorkerMatrix(worker_id=w + 1, rows=W[starts[w] : starts[w + 1]], layout=layout)
+        for w in range(cfg.L)
     ]
 
 
@@ -282,7 +263,7 @@ def worker_multiply(worker: WorkerMatrix, z: np.ndarray) -> WorkerResult:
             f"with {worker.rows.shape[1]} columns"
         )
     return WorkerResult(
-        worker_id=worker.worker_id, y=support_product(worker.rows, z), tags=worker.tags
+        worker_id=worker.worker_id, y=support_product(worker.rows, z), layout=worker.layout
     )
 
 
@@ -304,34 +285,34 @@ def decode_prefix(results: Sequence[WorkerResult], cfg: Configuration) -> np.nda
         raise ValueError(f"worker ids must lie in 1..{cfg.L}, got {ids}")
 
     layout = make_layout(cfg)
+    starts = layout.starts
     results = sorted(results, key=attrgetter("worker_id"))
     for res in results:
-        if len(res.tags) != len(res.y):
-            raise ValueError(
-                f"worker {res.worker_id}: {len(res.y)} values for {len(res.tags)} tags"
-            )
-        expected = layout.tags[res.worker_id - 1]
-        if res.tags is not expected and res.tags != expected:
+        # make_layout keeps one layout per configuration for the life of the
+        # process, so a result of this configuration carries this very object
+        w = res.worker_id
+        if res.layout is not layout or len(res.y) != starts[w] - starts[w - 1]:
             raise InsufficientResults(
-                f"worker {res.worker_id}: coded rows differ from those of the layout")
+                f"worker {w}: result does not hold the coded rows the layout places there")
     D = layout.decoder(tuple(r.worker_id for r in results))
     return D @ np.concatenate([r.y for r in results])
 
 
-def dump_rows(
-    workers: Iterable[WorkerMatrix], cfg: Configuration
-) -> Iterator[dict[str, object]]:
-    """Per-coded-row provenance records (for the CSV debug dump)."""
-    layout = make_layout(cfg)
-    for worker in workers:
-        for tag in worker.tags:
-            gen = layout.levels[tag.level - 1][tag.block].generator
-            coeffs = " ".join(f"{c:.17g}" for c in gen.coefficients[tag.row])
-            yield {
-                "worker_id": worker.worker_id,
-                "level": tag.level,
-                "block": tag.block,
-                "row": tag.row,
-                "systematic": int(tag.systematic),
-                "coefficients": coeffs,
-            }
+def dump_rows(cfg: Configuration) -> Iterator[dict[str, object]]:
+    """Per-coded-row provenance records in storage order (for the CSV debug
+    dump), read from the configuration's layout."""
+    placed = sorted(
+        ((w, s), blk, r)
+        for blocks in make_layout(cfg).levels
+        for blk in blocks
+        for r, (w, s) in enumerate(zip(blk.homes, blk.slots))
+    )
+    for (w, _), blk, r in placed:
+        yield {
+            "worker_id": w + 1,
+            "level": blk.level,
+            "block": blk.index,
+            "row": r,
+            "systematic": int(r < blk.rows_in),
+            "coefficients": " ".join(f"{c:.17g}" for c in blk.generator[r]),
+        }

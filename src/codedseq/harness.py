@@ -143,6 +143,9 @@ def validate_experiment(
             f"label {config.label!r} is reserved for the fixed preset; "
             "custom parameters must use a different label"
         )
+    if not config.summary_threshold >= 0:  # suboptimality is >= 0; NaN fails too
+        raise ValueError(
+            f"[summary] threshold must be >= 0, got {config.summary_threshold}")
     # a file's rank is known only after its SVD, a designed F has rank rows
     # and a gaussian one full rank
     full_rank = min(config.rows, config.cols)
@@ -410,16 +413,10 @@ def _read_config(path: "str | Path") -> ExperimentConfig:
     sections = ("cluster", "latency", "problem", "schedule", "configuration")
     cluster, latency, problem, schedule, configuration = (parser[s] for s in sections)
 
-    phases = []
-    for item in schedule["phases"].split(","):
-        rank_s, iters_s = item.strip().split(":")
-        phases.append((int(rank_s), int(iters_s)))
-
+    phases = _items(schedule["phases"], "[schedule] phases", "rank:iterations",
+                    _rank_iterations)
     k_raw = configuration["k"].strip()
-    if k_raw == "auto":
-        k = None
-    else:
-        k = tuple(int(v) for v in k_raw.split(","))
+    k = None if k_raw == "auto" else _items(k_raw, "[configuration] k", "an integer", int)
 
     default = ExperimentConfig(label="custom")
     return ExperimentConfig(
@@ -436,7 +433,7 @@ def _read_config(path: "str | Path") -> ExperimentConfig:
         gamma=problem.getfloat("gamma", default.gamma),
         source=problem.get("source", default.source),
         source_path=problem.get("source_path", default.source_path),
-        phases=tuple(phases),
+        phases=phases,
         configuration=k,
         baseline_iterations=schedule.getint(
             "baseline_iterations", default.baseline_iterations),
@@ -445,3 +442,20 @@ def _read_config(path: "str | Path") -> ExperimentConfig:
         summary_threshold=parser.getfloat(
             "summary", "threshold", fallback=default.summary_threshold),
     )
+
+
+def _items(text: str, key: str, form: str, convert: Callable[[str], object]) -> tuple:
+    """The comma-separated items of a config value, each converted; an item
+    that does not convert raises a ValueError naming the key and the item."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(convert(item.strip()))
+        except ValueError:
+            raise ValueError(f"{key} item {item.strip()!r} is not {form}") from None
+    return tuple(items)
+
+
+def _rank_iterations(item: str) -> tuple[int, int]:
+    rank, iterations = item.split(":")
+    return int(rank), int(iterations)

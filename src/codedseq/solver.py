@@ -56,8 +56,8 @@ class LassoProblem:
             raise ValueError(
                 f"inconsistent shapes: F {F.shape}, b {b.shape}"
             )
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "b", b)
 

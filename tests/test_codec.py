@@ -1,3 +1,4 @@
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
@@ -50,12 +51,31 @@ def roundtrip_max_error(cfg, m=10, seed=0):
     return worst
 
 
+Tag = namedtuple("Tag", "level block row systematic")
+
+
+def row_tags(cfg):
+    """Each worker's Tag per stored row, in storage order, derived from the
+    homes and slots of the layout's blocks."""
+    placed = [{} for _ in range(cfg.L)]
+    for blocks in make_layout(cfg).levels:
+        for b in blocks:
+            for r, (w, slot) in enumerate(zip(b.homes, b.slots)):
+                assert slot not in placed[w]
+                placed[w][slot] = Tag(b.level, b.index, r, r < b.rows_in)
+    for slots in placed:
+        assert sorted(slots) == list(range(len(slots)))
+    return [[slots[s] for s in range(len(slots))] for slots in placed]
+
+
 def pool_decode(results, cfg):
     """Reference decoder: pools rows per block from the tags and LU-solves
     each block on its lowest-indexed received rows."""
+    tags = row_tags(cfg)
     pool = {}
     for res in results:
-        for value, tag in zip(res.y, res.tags):
+        assert len(res.y) == len(tags[res.worker_id - 1])
+        for value, tag in zip(res.y, tags[res.worker_id - 1]):
             pool.setdefault((tag.level, tag.block), []).append((tag.row, value))
     decoded = []
     for level in range(1, len(results) + 1):
@@ -66,7 +86,7 @@ def pool_decode(results, cfg):
             rows_out = cfg.L if j < nfull else cfg.L - level + rem
             idx, y = zip(*sorted(pool[(level, j)])[:rows_in])
             gen = make_generator(rows_in, rows_out)
-            pieces.append(np.linalg.solve(gen.coefficients[list(idx)], np.array(y)))
+            pieces.append(np.linalg.solve(gen[list(idx)], np.array(y)))
         decoded.append(np.concatenate(pieces) if pieces else np.empty(0))
     return decoded
 
@@ -103,6 +123,7 @@ class TestLayout:
     def test_geometry_matches_row_budget(self, L):
         for cfg in sweep_configs(L):
             layout = make_layout(cfg)
+            tags = row_tags(cfg)
             budget = check_feasible(cfg)
             for level, blocks in enumerate(layout.levels, start=1):
                 assert sum(b.rows_out for b in blocks) == budget.s[level - 1]
@@ -113,9 +134,10 @@ class TestLayout:
                 for b in blocks:
                     assert len(set(b.homes)) == len(b.homes) == b.rows_out
                     for r, (w, slot) in enumerate(zip(b.homes, b.slots)):
-                        tag = layout.tags[w][slot]
+                        tag = tags[w][slot]
                         assert (tag.level, tag.block, tag.row) == (level, b.index, r)
-            loads = [len(tags) for tags in layout.tags]
+            loads = [len(t) for t in tags]
+            assert list(np.diff(layout.starts)) == loads
             assert max(loads) - min(loads) <= 1
             assert max(loads) == -(-budget.total // L) <= cfg.n
 
@@ -135,25 +157,25 @@ class TestLayout:
 class TestGenerator:
     def test_square_is_identity(self):
         gen = make_generator(2, 2)
-        np.testing.assert_array_equal(gen.coefficients, np.eye(2))
+        np.testing.assert_array_equal(gen, np.eye(2))
 
     def test_repetition_like(self):
         gen = make_generator(1, 3)
-        assert gen.coefficients[0, 0] == 1.0
-        assert all(gen.coefficients[r, 0] != 0.0 for r in range(3))
+        assert gen[0, 0] == 1.0
+        assert all(gen[r, 0] != 0.0 for r in range(3))
 
     def test_all_square_submatrices_invertible(self):
         # independent re-check by direct determinants
         gen = make_generator(2, 4)
         for rows in combinations(range(4), 2):
-            det = np.linalg.det(gen.coefficients[list(rows)])
+            det = np.linalg.det(gen[list(rows)])
             assert abs(det) > 1e-12
 
     def test_systematic_prefix(self):
         for rows_in, rows_out in [(1, 4), (2, 5), (3, 5), (4, 6)]:
             gen = make_generator(rows_in, rows_out)
             np.testing.assert_array_equal(
-                gen.coefficients[:rows_in], np.eye(rows_in)
+                gen[:rows_in], np.eye(rows_in)
             )
 
     def test_rejects_bad_shapes(self):
@@ -167,21 +189,22 @@ class TestEncode:
     def test_reference_example_structure(self):
         cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
         workers = encode_all(random_source(cfg, 7, 0), cfg)
-        assert [len(w.tags) for w in workers] == [3, 3, 3, 3]
+        tags = row_tags(cfg)
+        assert [len(w.rows) for w in workers] == [len(t) for t in tags] == [3, 3, 3, 3]
         # full blocks of levels 2 and 3: exactly one coded row in every worker
         for level, block in [(2, 0), (3, 0)]:
-            for w in workers:
-                hits = [t for t in w.tags if (t.level, t.block) == (level, block)]
+            for w in tags:
+                hits = [t for t in w if (t.level, t.block) == (level, block)]
                 assert len(hits) == 1
         # level-2 remainder: one row in each of exactly 3 distinct workers
         carriers = [
-            w.worker_id
-            for w in workers
-            if sum(1 for t in w.tags if (t.level, t.block) == (2, 1)) == 1
+            w
+            for w in range(cfg.L)
+            if sum(1 for t in tags[w] if (t.level, t.block) == (2, 1)) == 1
         ]
         assert len(carriers) == 3
         # level-4 single row lives in exactly one worker (the least loaded)
-        quads = [w.worker_id for w in workers if any(t.level == 4 for t in w.tags)]
+        quads = [w + 1 for w in range(cfg.L) if any(t.level == 4 for t in tags[w])]
         assert quads == [4]
 
     def test_capacity_and_total(self):
@@ -189,8 +212,8 @@ class TestEncode:
         budget = check_feasible(cfg)
         assert budget.feasible
         workers = encode_all(random_source(cfg, 6, 3), cfg)
-        assert all(len(w.tags) <= cfg.n for w in workers)
-        assert sum(len(w.tags) for w in workers) == budget.total
+        assert all(len(w.rows) <= cfg.n for w in workers)
+        assert sum(len(w.rows) for w in workers) == budget.total
 
     def test_infeasible_configuration_rejected(self):
         cfg = Configuration(L=2, n=1, k=(2, 0))
@@ -214,13 +237,35 @@ class TestEncode:
         with pytest.raises(ValueError):
             workers[0].rows[0, 0] = 7.0
 
+    def test_workers_are_slices_of_one_stacked_matrix(self):
+        cfg = Configuration(L=5, n=5, k=(1, 2, 3, 4, 5))
+        A = random_source(cfg, 6, 3)
+        workers = encode_all(A, cfg)
+        W = workers[0].rows.base
+        assert W is not None and W.flags.c_contiguous and not W.flags.writeable
+        starts = make_layout(cfg).starts
+        assert W.shape == (starts[-1], 6)
+        for w in workers:
+            assert w.rows.base is W and np.shares_memory(w.rows, W)
+            assert w.layout is make_layout(cfg)
+            # worker w's rows begin at row starts[w - 1] of the stack
+            a, b = starts[w.worker_id - 1], starts[w.worker_id]
+            assert w.rows.shape == (b - a, 6)
+            assert w.rows.ctypes.data == W.ctypes.data + a * W.strides[0]
+        # each stored row is its coded row of its block
+        for w, tags in zip(workers, row_tags(cfg)):
+            for slot, t in enumerate(tags):
+                blk = make_layout(cfg).levels[t.level - 1][t.block]
+                coded = blk.generator @ A[blk.start : blk.start + blk.rows_in]
+                np.testing.assert_array_equal(w.rows[slot], coded[t.row])
+
 
 class TestWorkerMultiply:
     def test_zero_vector(self):
         cfg = Configuration(L=2, n=2, k=(1, 2))
         workers = encode_all(random_source(cfg, 5, 1), cfg)
         res = worker_multiply(workers[0], np.zeros(5))
-        np.testing.assert_array_equal(res.y, np.zeros(len(workers[0].tags)))
+        np.testing.assert_array_equal(res.y, np.zeros(len(workers[0].rows)))
 
     def test_one_hot_selects_column(self):
         cfg = Configuration(L=2, n=2, k=(1, 2))
@@ -352,7 +397,7 @@ class TestSupportProduct:
         for w in workers:
             rows = w.rows.view(GatherSpy)
             rows.gathered = False
-            res = worker_multiply(WorkerMatrix(w.worker_id, rows, w.tags), z)
+            res = worker_multiply(WorkerMatrix(w.worker_id, rows, w.layout), z)
             assert rows.gathered
             assert_close(np.asarray(res.y), w.rows @ z)
             results.append(res)
@@ -458,8 +503,8 @@ class TestDecode:
         results = [worker_multiply(w, z) for w in workers]
         decoded = decode_prefix(results, cfg)
         sys_rows = {}
-        for res in results:
-            for value, tag in zip(res.y, res.tags):
+        for res, tags in zip(results, row_tags(cfg)):
+            for value, tag in zip(res.y, tags):
                 if tag.systematic:
                     sys_rows[(tag.level, tag.block, tag.row)] = value
         np.testing.assert_array_equal(
@@ -478,7 +523,7 @@ class TestDecode:
         workers = encode_all(random_source(cfg, 3, 1), cfg)
         res = worker_multiply(workers[1], np.zeros(3))
         with pytest.raises(ValueError):
-            decode_prefix([type(res)(worker_id=3, y=res.y, tags=res.tags)], cfg)
+            decode_prefix([type(res)(worker_id=3, y=res.y, layout=res.layout)], cfg)
 
     def test_insufficient_rows_detected(self):
         cfg = Configuration(L=2, n=2, k=(1, 1))
@@ -486,23 +531,50 @@ class TestDecode:
         z = np.random.default_rng(2).standard_normal(3)
         res = worker_multiply(workers[0], z)
         # strip the level-1 row to fake an encoder bug
-        keep = [i for i, t in enumerate(res.tags) if t.level != 1]
-        broken = type(res)(
-            worker_id=res.worker_id,
-            y=res.y[keep],
-            tags=tuple(res.tags[i] for i in keep),
-        )
+        keep = [i for i, t in enumerate(row_tags(cfg)[0]) if t.level != 1]
+        broken = type(res)(worker_id=res.worker_id, y=res.y[keep], layout=res.layout)
         with pytest.raises(InsufficientResults):
             decode_prefix([broken], cfg)
+
+    def test_result_of_another_configuration_detected(self):
+        cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
+        other = Configuration(L=4, n=3, k=(0, 4, 0, 4))
+        # same row count on every worker, so only the provenance differs
+        assert make_layout(cfg).starts == make_layout(other).starts
+        workers = encode_all(random_source(other, 7, 1), other)
+        z = np.random.default_rng(2).standard_normal(7)
+        foreign = [worker_multiply(w, z) for w in workers]
+        for ell in (1, 2, cfg.L):
+            with pytest.raises(InsufficientResults):
+                decode_prefix(foreign[:ell], cfg)
 
 
 class TestDump:
     def test_rows_cover_budget_and_parse(self):
         cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
         workers = encode_all(random_source(cfg, 7, 0), cfg)
-        records = list(dump_rows(workers, cfg))
+        records = list(dump_rows(cfg))
         total = sum(row_count_s(i, k, cfg.L) for i, k in enumerate(cfg.k, 1))
         assert len(records) == total
         for rec in records:
             coeffs = [float(v) for v in rec["coefficients"].split()]
             assert coeffs  # at least one coefficient per coded row
+
+    def test_reference_example_rows_in_storage_order(self):
+        # worker_id, level, block, row, systematic of the README example
+        cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
+        keys = ("worker_id", "level", "block", "row", "systematic")
+        assert [tuple(rec[key] for key in keys) for rec in dump_rows(cfg)] == [
+            (1, 2, 0, 0, 1), (1, 2, 1, 0, 1), (1, 3, 0, 0, 1),
+            (2, 2, 0, 1, 1), (2, 2, 1, 1, 0), (2, 3, 0, 1, 1),
+            (3, 2, 0, 2, 0), (3, 2, 1, 2, 0), (3, 3, 0, 2, 1),
+            (4, 2, 0, 3, 0), (4, 3, 0, 3, 0), (4, 4, 0, 0, 1),
+        ]
+
+    def test_coefficients_are_the_generator_rows(self):
+        cfg = Configuration(L=5, n=5, k=(1, 2, 3, 4, 5))
+        layout = make_layout(cfg)
+        for rec in dump_rows(cfg):
+            blk = layout.levels[rec["level"] - 1][rec["block"]]
+            coeffs = [float(v) for v in rec["coefficients"].split()]
+            assert coeffs == list(blk.generator[rec["row"]])

@@ -581,6 +581,54 @@ class TestCli:
         assert "source 'designed' needs rows >= 16, got 12" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_unreachable_threshold_exits_before_any_replication(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        # suboptimality is >= 0, so such a threshold could never be reached
+        def no_problem(*args, **kwargs):
+            raise AssertionError("a problem was generated before validation ended")
+
+        monkeypatch.setattr(harness_module, "designed_problem", no_problem)
+        ini = tmp_path / "threshold.ini"
+        ini.write_text(FAST_CUSTOM.replace("threshold = 0.05", f"threshold = {value}"))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini), "--output", str(out)])
+        assert code == 2
+        assert "[summary] threshold must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_gamma_exits_2_without_output(self, tmp_path, capsys):
+        ini = tmp_path / "gamma.ini"
+        ini.write_text(FAST_CUSTOM.replace("gamma = 5.0", "gamma = nan"))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini),
+                     "--replications", "1", "--output", str(out)])
+        assert code == 2
+        assert "gamma must be finite and >= 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("phases = 6:10, 38:60", "phases = 6",
+             "[schedule] phases item '6' is not rank:iterations"),
+            ("phases = 6:10, 38:60", "phases = 6:10, 38:60:2",
+             "[schedule] phases item '38:60:2' is not rank:iterations"),
+            ("k = 0,0,6,32", "k = 0,0,x,32",
+             "[configuration] k item 'x' is not an integer"),
+        ],
+        ids=["phase-without-colon", "phase-with-two-colons", "k-not-integer"],
+    )
+    def test_malformed_item_named_in_message(self, tmp_path, capsys, old, new, message):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(FAST_CUSTOM.replace(old, new))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(bad), "--output", str(out)])
+        assert code == 2
+        assert f"bad config file: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tall_gaussian_source_runs(self, tmp_path, capsys):
         # rows > cols: the problem has rank cols
         ini = tmp_path / "tall.ini"

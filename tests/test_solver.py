@@ -37,6 +37,17 @@ def small_problem(seed=0, rows=8, cols=20, gamma=0.5):
     )
 
 
+class TestLassoProblem:
+    @pytest.mark.parametrize("gamma", [-1.0, np.nan, np.inf])
+    def test_gamma_must_be_finite_and_nonnegative(self, gamma):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            LassoProblem(F=rng.standard_normal((4, 6)), b=rng.standard_normal(4), gamma=gamma)
+
+    def test_zero_gamma_accepted(self):
+        assert small_problem(gamma=0.0).gamma == 0.0
+
+
 class TestSoftThreshold:
     def test_positive_shrink(self):
         assert soft_threshold(np.array([2.0]), 0.5)[0] == pytest.approx(1.5)

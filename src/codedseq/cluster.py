@@ -1,6 +1,7 @@
 """Straggler cluster simulation: random worker latencies and order statistics."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,17 @@ class LatencyModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown latency kind {self.kind!r}, expected {_KINDS}")
-        if self.kind in ("exponential", "shifted-exponential") and self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.kind == "deterministic" and self.value < 0:
-            raise ValueError(f"deterministic value must be >= 0, got {self.value}")
-        if self.kind == "shifted-exponential" and self.shift < 0:
-            raise ValueError(f"shift must be >= 0, got {self.shift}")
+        # written so that NaN fails every check
+        if self.kind in ("exponential", "shifted-exponential") and not (
+            0 < self.rate < math.inf
+        ):
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
+        if self.kind == "deterministic" and not 0 <= self.value < math.inf:
+            raise ValueError(
+                f"deterministic value must be finite and >= 0, got {self.value}"
+            )
+        if self.kind == "shifted-exponential" and not 0 <= self.shift < math.inf:
+            raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
 
     @classmethod
     def exponential(cls, rate: float = 1.0) -> "LatencyModel":

@@ -390,18 +390,43 @@ def parse_config_file(path: "str | Path") -> ExperimentConfig:
         raise ValueError(f"malformed config file: {exc}") from exc
 
 
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+_INTEGER, _NUMBER = "an integer", "a number"
+# ExperimentConfig field: the section and key that set it, the form its value
+# must have and the conversion.  [cluster] L and n are required (a missing one
+# raises KeyError); any other key left out takes the ExperimentConfig default.
+_SCALARS: dict[str, tuple[str, str, str, Callable[[str], object]]] = {
+    "L": ("cluster", "L", _INTEGER, int),
+    "n": ("cluster", "n", _INTEGER, int),
+    "latency_kind": ("latency", "kind", "text", str),
+    "latency_rate": ("latency", "rate", _NUMBER, float),
+    "latency_value": ("latency", "value", _NUMBER, float),
+    "latency_shift": ("latency", "shift", _NUMBER, float),
+    "rows": ("problem", "rows", _INTEGER, int),
+    "cols": ("problem", "cols", _INTEGER, int),
+    "rank": ("problem", "rank", _INTEGER, int),
+    "gamma": ("problem", "gamma", _NUMBER, float),
+    "source": ("problem", "source", "text", str),
+    "source_path": ("problem", "source_path", "text", str),
+    "baseline_iterations": ("schedule", "baseline_iterations", _INTEGER, int),
+    "charge_second_round": ("schedule", "charge_second_round", "a boolean", _boolean),
+    "summary_threshold": ("summary", "threshold", _NUMBER, float),
+}
+
+
 def _read_config(path: "str | Path") -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
-    known = {
-        "cluster": {"l", "n"},
-        "latency": {"kind", "rate", "value", "shift"},
-        "problem": {"rows", "cols", "rank", "gamma", "source", "source_path"},
-        "schedule": {"phases", "baseline_iterations", "charge_second_round"},
-        "configuration": {"k"},
-        "summary": {"threshold"},
-    }
+    known = {"schedule": {"phases"}, "configuration": {"k"}}
+    for section, key, _, _ in _SCALARS.values():
+        known.setdefault(section, set()).add(key.lower())
     if parser.defaults():  # its keys would show up in every section
         raise ValueError(f"unknown section [{parser.default_section}]")
     for name in parser.sections():
@@ -410,50 +435,37 @@ def _read_config(path: "str | Path") -> ExperimentConfig:
         unknown = sorted(set(parser[name]) - known[name])  # keys are lower-cased
         if unknown:
             raise ValueError(f"unknown key {', '.join(unknown)} in [{name}]")
-    sections = ("cluster", "latency", "problem", "schedule", "configuration")
-    cluster, latency, problem, schedule, configuration = (parser[s] for s in sections)
+    for name in ("cluster", "latency", "problem", "schedule", "configuration"):
+        if not parser.has_section(name):
+            raise ValueError(f"config file missing section [{name}]")
 
-    phases = _items(schedule["phases"], "[schedule] phases", "rank:iterations",
-                    _rank_iterations)
-    k_raw = configuration["k"].strip()
-    k = None if k_raw == "auto" else _items(k_raw, "[configuration] k", "an integer", int)
+    phases = _items(parser["schedule"]["phases"], "[schedule] phases",
+                    "rank:iterations", _rank_iterations)
+    k_raw = parser["configuration"]["k"].strip()
+    k = None if k_raw == "auto" else _items(k_raw, "[configuration] k", _INTEGER, int)
 
-    default = ExperimentConfig(label="custom")
-    return ExperimentConfig(
-        label="custom",
-        L=int(cluster["L"]),
-        n=int(cluster["n"]),
-        latency_kind=latency.get("kind", default.latency_kind),
-        latency_rate=latency.getfloat("rate", default.latency_rate),
-        latency_value=latency.getfloat("value", default.latency_value),
-        latency_shift=latency.getfloat("shift", default.latency_shift),
-        rows=problem.getint("rows", default.rows),
-        cols=problem.getint("cols", default.cols),
-        rank=problem.getint("rank", default.rank),
-        gamma=problem.getfloat("gamma", default.gamma),
-        source=problem.get("source", default.source),
-        source_path=problem.get("source_path", default.source_path),
-        phases=phases,
-        configuration=k,
-        baseline_iterations=schedule.getint(
-            "baseline_iterations", default.baseline_iterations),
-        charge_second_round=schedule.getboolean(
-            "charge_second_round", default.charge_second_round),
-        summary_threshold=parser.getfloat(
-            "summary", "threshold", fallback=default.summary_threshold),
-    )
+    values = {
+        field: _scalar(parser[section][key], f"[{section}] {key}", form, convert)
+        for field, (section, key, form, convert) in _SCALARS.items()
+        if section == "cluster" or parser.has_option(section, key)
+    }
+    return ExperimentConfig(label="custom", phases=phases, configuration=k, **values)
+
+
+def _scalar(text: str, key: str, form: str, convert: Callable[[str], object],
+            what: str = "value") -> object:
+    """A config value (or one ``what`` of a list value) converted; one that
+    does not convert raises a ValueError naming the key and the value."""
+    text = text.strip()
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{key} {what} {text!r} is not {form}") from None
 
 
 def _items(text: str, key: str, form: str, convert: Callable[[str], object]) -> tuple:
-    """The comma-separated items of a config value, each converted; an item
-    that does not convert raises a ValueError naming the key and the item."""
-    items = []
-    for item in text.split(","):
-        try:
-            items.append(convert(item.strip()))
-        except ValueError:
-            raise ValueError(f"{key} item {item.strip()!r} is not {form}") from None
-    return tuple(items)
+    """The comma-separated items of a config value, each converted by _scalar."""
+    return tuple(_scalar(item, key, form, convert, "item") for item in text.split(","))
 
 
 def _rank_iterations(item: str) -> tuple[int, int]:

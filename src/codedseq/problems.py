@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import SeededRng
-from .solver import LassoProblem
+from .solver import GRAM_ORTHO_TOL, LassoProblem
 
 __all__ = ["DesignedProblem", "designed_problem", "gaussian_problem"]
 
@@ -60,11 +60,21 @@ def designed_problem(
     lives entirely in right-singular mode ``hidden_mode`` (1-based), so any
     truncation of rank < hidden_mode solves the spike-only problem instead;
     the relative gap between the two optima is about ``fringe_scale``.
+
+    The right factor V comes from one Cholesky pass over the Gram matrix of
+    the tall ``(cols, rows)`` matrix it orthonormalises, certified with
+    ``solver.GRAM_ORTHO_TOL``; Householder QR is the fallback.  The two
+    differ only in the signs of V's columns.  A flipped column of V flips
+    the matching entry of alpha and column of U_raw, so F^T F, F^T b and
+    |b|, hence the lasso problem and each of its rank-r truncations, are
+    the same on both routes up to rounding.
     """
     if not 2 <= hidden_mode <= rows:
         raise ValueError(f"hidden_mode {hidden_mode} outside 2..{rows}")
     if not 0 < fringe_scale < 1:
         raise ValueError(f"fringe_scale must be in (0, 1), got {fringe_scale}")
+    if not 1 <= fringe_size < cols:
+        raise ValueError(f"fringe_size {fringe_size} outside 1..{cols - 1}")
     gen = rng.generator
     sigma = sigma_top * sigma_decay ** (np.arange(rows) / (rows - 1))
 
@@ -94,20 +104,41 @@ def designed_problem(
     raw = np.column_stack(
         [xi_visible, xi_hidden, gen.standard_normal((cols, rows - 2))]
     )
-    Q, _ = np.linalg.qr(raw)
     order = [0] + list(range(2, hidden_mode)) + [1] + list(range(hidden_mode, rows))
-    V = Q[:, order]
+    V = _orthonormal_factor(raw, order)
     alpha = V.T @ xi
     if np.linalg.norm(V @ alpha - xi) > 1e-9:
         raise ArithmeticError("certificate escaped the right-factor span")
 
     U_raw, _ = np.linalg.qr(gen.standard_normal((rows, rows)))
-    F = U_raw @ (sigma[:, None] * V.T)
+    F = (U_raw * sigma) @ V.T
     # residual vector r with F^T r = gamma * xi makes x_opt exactly optimal
     b = F @ x_opt + U_raw @ (gamma * alpha / sigma)
     return DesignedProblem(
         problem=LassoProblem(F=F, b=b, gamma=gamma), planted_optimum=x_opt
     )
+
+
+def _orthonormal_factor(raw: np.ndarray, order: list[int]) -> np.ndarray:
+    """Q[:, order] for the thin QR raw = Q R, up to the signs of Q's columns;
+    raw's columns are scaled to unit norm in place, which leaves Q as it is.
+
+    Q = raw C^-T for the Cholesky factor C of raw^T raw, so the tall matrix
+    is read by BLAS-3 products only and the column order is folded into the
+    small C^-T.  That Q is kept only when max|Q^T Q - I| <= GRAM_ORTHO_TOL;
+    otherwise, or when raw^T raw is not numerically positive definite,
+    Householder QR decides.
+    """
+    raw /= np.linalg.norm(raw, axis=0)
+    try:
+        C = np.linalg.cholesky(raw.T @ raw)
+    except np.linalg.LinAlgError:
+        C = None
+    if C is not None:
+        V = raw @ np.linalg.inv(C).T[:, order]
+        if np.abs(V.T @ V - np.eye(V.shape[1])).max() <= GRAM_ORTHO_TOL:
+            return V
+    return np.linalg.qr(raw)[0][:, order]
 
 
 def gaussian_problem(

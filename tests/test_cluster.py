@@ -72,6 +72,21 @@ class TestSampleRound:
         with pytest.raises(ValueError):
             LatencyModel.deterministic(-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "make,name",
+        [
+            (lambda v: LatencyModel.exponential(v), "rate"),
+            (lambda v: LatencyModel.shifted_exponential(0.5, v), "rate"),
+            (lambda v: LatencyModel.deterministic(v), "value"),
+            (lambda v: LatencyModel.shifted_exponential(v, 1.0), "shift"),
+        ],
+        ids=["exponential-rate", "shifted-rate", "deterministic-value", "shift"],
+    )
+    def test_parameters_must_be_finite(self, make, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make(bad)
+
 
 class TestOrderStatMean:
     @pytest.mark.parametrize(

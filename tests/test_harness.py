@@ -629,6 +629,39 @@ class TestCli:
         assert f"bad config file: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("L = 4", "L = x", "[cluster] L value 'x' is not an integer"),
+            ("rows = 38", "rows = 3.5", "[problem] rows value '3.5' is not an integer"),
+            ("rate = 1.0", "rate = fast", "[latency] rate value 'fast' is not a number"),
+            ("baseline_iterations = 80",
+             "baseline_iterations = 80\ncharge_second_round = maybe",
+             "[schedule] charge_second_round value 'maybe' is not a boolean"),
+        ],
+        ids=["cluster-integer", "problem-integer", "latency-number", "boolean"],
+    )
+    def test_malformed_scalar_named_in_message(self, tmp_path, capsys, old, new, message):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(FAST_CUSTOM.replace(old, new))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(bad), "--output", str(out)])
+        assert code == 2
+        assert f"bad config file: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_latency_rate_exits_2_without_output(self, tmp_path, capsys, value):
+        ini = tmp_path / "rate.ini"
+        ini.write_text(FAST_CUSTOM.replace("rate = 1.0", f"rate = {value}"))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini), "--output", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "rate must be finite and > 0" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_tall_gaussian_source_runs(self, tmp_path, capsys):
         # rows > cols: the problem has rank cols
         ini = tmp_path / "tall.ini"

@@ -88,9 +88,11 @@ def sample_round(model: LatencyModel, L: int, rng: SeededRng) -> np.ndarray:
         raise ValueError(f"L must be >= 1, got {L}")
     if model.kind == "deterministic":
         return np.full(L, model.value)
-    times = -np.log(rng.uniform_open_closed(L)) / model.rate
+    times = rng.uniform_open_closed(L)  # a fresh array: transform it in place
+    np.negative(np.log(times, out=times), out=times)
+    times /= model.rate
     if model.kind == "shifted-exponential":
-        times = model.shift + times
+        times += model.shift
     return times
 
 
@@ -113,9 +115,9 @@ def simulate_wait(
 
     The responder ids are 1-based and sorted; ties go to the lower index.
     """
-    times = sample_round(model, L, rng)
-    if not 1 <= ell_target <= L:
+    if not 1 <= ell_target <= L:  # checked first, so a rejected call draws nothing
         raise ValueError(f"ell={ell_target} outside 1..{L}")
-    order = np.argsort(times, kind="stable")
-    responders = tuple(sorted((order[:ell_target] + 1).tolist()))
+    times = sample_round(model, L, rng)
+    order = times.argsort(kind="stable").tolist()
+    responders = tuple(sorted(w + 1 for w in order[:ell_target]))
     return float(times[order[ell_target - 1]]), responders

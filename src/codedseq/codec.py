@@ -250,20 +250,21 @@ def support_product(A: np.ndarray, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z)
         support = np.flatnonzero(z != 0)
         if SUPPORT_COLS_PER_NONZERO * support.size <= A.shape[1]:
-            return A[:, support] @ z[support]
-    return A @ z
+            return A[:, support].dot(z[support])
+    return A.dot(z)
 
 
 def worker_multiply(worker: WorkerMatrix, z: np.ndarray) -> WorkerResult:
     """One worker's subtask: multiply its stored rows by z."""
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.shape[0] != worker.rows.shape[1]:
+    rows = worker.rows
+    if z.ndim != 1 or z.shape[0] != rows.shape[1]:
         raise ValueError(
             f"vector of shape {z.shape} does not match worker matrix "
-            f"with {worker.rows.shape[1]} columns"
+            f"with {rows.shape[1]} columns"
         )
     return WorkerResult(
-        worker_id=worker.worker_id, y=support_product(worker.rows, z), layout=worker.layout
+        worker_id=worker.worker_id, y=support_product(rows, z), layout=worker.layout
     )
 
 
@@ -278,15 +279,15 @@ def decode_prefix(results: Sequence[WorkerResult], cfg: Configuration) -> np.nda
         raise ValueError("need at least one worker result")
     if ell > cfg.L:
         raise ValueError(f"got {ell} results for a cluster of {cfg.L} workers")
-    ids = [r.worker_id for r in results]
+    results = sorted(results, key=attrgetter("worker_id"))
+    ids = tuple(r.worker_id for r in results)  # ascending
     if len(set(ids)) != ell:
         raise ValueError(f"worker results must come from distinct workers, got {ids}")
-    if not all(1 <= w <= cfg.L for w in ids):
+    if not 1 <= ids[0] <= ids[-1] <= cfg.L:
         raise ValueError(f"worker ids must lie in 1..{cfg.L}, got {ids}")
 
     layout = make_layout(cfg)
     starts = layout.starts
-    results = sorted(results, key=attrgetter("worker_id"))
     for res in results:
         # make_layout keeps one layout per configuration for the life of the
         # process, so a result of this configuration carries this very object
@@ -294,8 +295,7 @@ def decode_prefix(results: Sequence[WorkerResult], cfg: Configuration) -> np.nda
         if res.layout is not layout or len(res.y) != starts[w] - starts[w - 1]:
             raise InsufficientResults(
                 f"worker {w}: result does not hold the coded rows the layout places there")
-    D = layout.decoder(tuple(r.worker_id for r in results))
-    return D @ np.concatenate([r.y for r in results])
+    return layout.decoder(ids).dot(np.concatenate([r.y for r in results]))
 
 
 def dump_rows(cfg: Configuration) -> Iterator[dict[str, object]]:

@@ -206,15 +206,12 @@ def _load_source(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"cannot read F and b from source_path {path!r}: {exc}") from exc
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def trace_rows(run_id: str, algorithm: str, trace: RunTrace) -> list[list[str]]:
-    columns = zip(trace.phase.tolist(), trace.iter_time.tolist(), trace.cum_time.tolist(),
-                  trace.objective.tolist(), trace.suboptimality.tolist())
-    return [[run_id, algorithm, str(k), str(phase), *map(_fmt, values)]
-            for k, (phase, *values) in enumerate(columns, start=1)]
+    fmt = "%.17g".__mod__  # for a float, the same text as f"{v:.17g}"
+    columns = [map(fmt, values.tolist()) for values in (
+        trace.iter_time, trace.cum_time, trace.objective, trace.suboptimality)]
+    return [[run_id, algorithm, str(k), str(phase), *values]
+            for k, (phase, *values) in enumerate(zip(trace.phase.tolist(), *columns), start=1)]
 
 
 def write_trace_csv(path: "str | Path", rows: Iterable[list[str]]) -> None:
@@ -232,24 +229,23 @@ def write_trace_csv(path: "str | Path", rows: Iterable[list[str]]) -> None:
 
 
 def read_trace_csv(path: "str | Path") -> list[dict[str, object]]:
+    """Trace rows as dicts keyed by TRACE_HEADER's fields, blank lines skipped;
+    a wrong header or a row with the wrong field count raises ValueError."""
     out = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TRACE_HEADER.split(","):
-            raise ValueError(f"unexpected trace header {reader.fieldnames}")
-        for row in reader:
-            out.append(
-                {
-                    "run_id": row["run_id"],
-                    "algorithm": row["algorithm"],
-                    "iteration": int(row["iteration"]),
-                    "phase": int(row["phase"]),
-                    "iter_time": float(row["iter_time"]),
-                    "cum_time": float(row["cum_time"]),
-                    "objective": float(row["objective"]),
-                    "suboptimality": float(row["suboptimality"]),
-                }
-            )
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != TRACE_HEADER.split(","):
+            raise ValueError(f"unexpected trace header {header}")
+        for row in filter(None, reader):  # a blank line reads as []
+            if len(row) != len(header):
+                raise ValueError(f"trace line {reader.line_num} has {len(row)} fields, "
+                                 f"expected {len(header)}")
+            run_id, algorithm, iteration, phase, iter_time, cum_time, objective, sub = row
+            out.append({"run_id": run_id, "algorithm": algorithm,
+                        "iteration": int(iteration), "phase": int(phase),
+                        "iter_time": float(iter_time), "cum_time": float(cum_time),
+                        "objective": float(objective), "suboptimality": float(sub)})
     return out
 
 

@@ -8,6 +8,7 @@ inner products, finish the product user-side).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,7 +72,7 @@ class LassoProblem:
 
     def objective(self, x: np.ndarray) -> float:
         r = support_product(self.F, x) - self.b
-        return 0.5 * float(r @ r) + self.gamma * float(np.abs(x).sum())
+        return 0.5 * float(r.dot(r)) + self.gamma * float(np.abs(x).sum())
 
 
 # Singular values at or below this fraction of the largest count as zero.
@@ -226,12 +227,13 @@ class CodedMatvecSystem:
     config: Configuration
     svd: SvdFactors
     workers: tuple[WorkerMatrix, ...]
+    sigma_sq: np.ndarray  # svd.sigma ** 2, the completion weights
 
     @classmethod
     def setup(cls, svd: SvdFactors, config: Configuration) -> "CodedMatvecSystem":
         # the source rows are v_1 .. v_(h_L), in decreasing order of sigma
         workers = tuple(encode_all(svd.V[:, : sum(config.k)].T, config))
-        return cls(config=config, svd=svd, workers=workers)
+        return cls(config=config, svd=svd, workers=workers, sigma_sq=svd.sigma**2)
 
 
 def sequential_matvec(
@@ -248,17 +250,14 @@ def sequential_matvec(
     components.
     """
     elapsed, responders = simulate_wait(model, system.config.L, phase.ell, rng)
-    results = [
-        worker_multiply(system.workers[w - 1], x) for w in responders
-    ]
+    results = [worker_multiply(system.workers[w - 1], x) for w in responders]
     t = decode_prefix(results, system.config)
     if t.shape[0] < phase.rank:
         raise RuntimeError(
             f"decoded {t.shape[0]} components, phase needs {phase.rank}"
         )
     r = phase.rank
-    g = system.svd.V[:, :r] @ (system.svd.sigma[:r] ** 2 * t[:r])
-    return g, elapsed
+    return system.svd.V[:, :r].dot(system.sigma_sq[:r] * t[:r]), elapsed
 
 
 @dataclass(eq=False)
@@ -331,6 +330,7 @@ def run_sequential(
     x = np.zeros(problem.cols)
     k = 0
     step = 1.0 / float(svd.sigma[0] ** 2)
+    theta = step * problem.gamma
     for phase_idx, phase in enumerate(schedule.phases, start=1):
         offset = svd.gradient_offset(problem.b, phase.rank)
         clock = rng.spawn(phase_idx, 0)
@@ -342,10 +342,11 @@ def run_sequential(
                     model, schedule.config.L, phase.ell, second_clock
                 )
                 elapsed += second
-            x = soft_threshold(x - step * (g - offset), step * problem.gamma)
+            x = soft_threshold(x - step * (g - offset), theta)
             trace.iter_time[k] = elapsed
             trace.objective[k] = problem.objective(x)
-            trace.suboptimality[k] = float(np.linalg.norm(x - x_star)) / denom
+            d = x - x_star  # sqrt(d . d) is what np.linalg.norm(d) computes
+            trace.suboptimality[k] = math.sqrt(d.dot(d)) / denom
             if trace.iterates is not None:
                 trace.iterates[k] = x
             k += 1

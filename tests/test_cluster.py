@@ -217,3 +217,10 @@ class TestPhaseStream:
         for ell in (0, 5):
             with pytest.raises(ValueError):
                 simulate_wait(m, 4, ell, SeededRng(0))
+
+    def test_rejected_call_leaves_the_stream_alone(self):
+        m = LatencyModel.exponential(1.0)
+        rng = SeededRng(0)
+        with pytest.raises(ValueError):
+            simulate_wait(m, 4, 5, rng)
+        assert simulate_wait(m, 4, 2, rng) == simulate_wait(m, 4, 2, SeededRng(0))

@@ -1,5 +1,5 @@
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -524,6 +524,27 @@ class TestDecode:
         res = worker_multiply(workers[1], np.zeros(3))
         with pytest.raises(ValueError):
             decode_prefix([type(res)(worker_id=3, y=res.y, layout=res.layout)], cfg)
+
+    @pytest.mark.parametrize("bad", [0, 5])
+    def test_worker_id_out_of_range_rejected(self, bad):
+        # ids 0 and L+1, next to valid results on either side
+        cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
+        workers = encode_all(random_source(cfg, 7, 1), cfg)
+        results = [worker_multiply(w, np.ones(7)) for w in workers]
+        forged = type(results[0])(worker_id=bad, y=results[0].y, layout=results[0].layout)
+        with pytest.raises(ValueError, match="worker ids must lie in 1..4"):
+            decode_prefix([results[1], forged, results[2]], cfg)
+
+    def test_result_order_does_not_matter(self):
+        cfg = Configuration(L=4, n=5, k=(1, 3, 4, 2))
+        workers = encode_all(random_source(cfg, 8, 3), cfg)
+        z = np.random.default_rng(4).standard_normal(8)
+        results = [worker_multiply(w, z) for w in workers]
+        for ell in (2, 3, 4):
+            for subset in combinations(results, ell):
+                want = decode_prefix(list(subset), cfg)
+                for order in permutations(subset):
+                    assert decode_prefix(list(order), cfg).tobytes() == want.tobytes()
 
     def test_insufficient_rows_detected(self):
         cfg = Configuration(L=2, n=2, k=(1, 1))

@@ -20,9 +20,11 @@ from codedseq.harness import (
     resolve_configuration,
     run_experiment,
     summarize_trace_file,
+    trace_rows,
     validate_experiment,
     write_trace_csv,
 )
+from codedseq.solver import RunTrace
 
 FAST_CUSTOM = """
 [cluster]
@@ -190,6 +192,33 @@ class TestTraceIO:
         path.write_text("nope,nope\n1,2\n")
         with pytest.raises(ValueError):
             read_trace_csv(path)
+
+    def test_trace_rows_format_like_fstring(self):
+        values = np.array([-0.0, 5e-324, 1e308, 0.1, 3.0, 1 / 3, np.inf, np.nan])
+        trace = RunTrace(phase=np.arange(1, 9), iter_time=values, objective=values[::-1],
+                         suboptimality=values)
+        rows = trace_rows("r", "sequential", trace)
+        assert [row[:4] for row in rows[:2]] == [["r", "sequential", "1", "1"],
+                                                 ["r", "sequential", "2", "2"]]
+        columns = (trace.iter_time, trace.cum_time, trace.objective, trace.suboptimality)
+        assert [row[4:] for row in rows] == [[f"{v:.17g}" for v in floats]
+                                            for floats in zip(*(c.tolist() for c in columns))]
+        assert rows[0][4:] == ["-0", "-0", "nan", "-0"]
+        assert [row[4] for row in rows[1:6]] == [
+            "4.9406564584124654e-324", "1e+308", "0.10000000000000001", "3",
+            "0.33333333333333331"]
+
+    @pytest.mark.parametrize("fields", [6, 9], ids=["short", "long"])
+    def test_wrong_field_count_names_the_line(self, tmp_path, fields):
+        good = ["a-base", "baseline", "1", "1", "1", "1", "2", "0.1"]
+        bad = (good + ["extra"])[:fields]
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join([TRACE_HEADER, ",".join(good), ",".join(bad)]) + "\n")
+        message = f"trace line 3 has {fields} fields, expected 8"
+        with pytest.raises(ValueError, match=message):
+            read_trace_csv(path)
+        with pytest.raises(ValueError, match=message):
+            summarize_trace_file(path, "custom", 1e-3)
 
     def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -580,6 +609,23 @@ class TestCli:
         assert code == 2
         assert "source 'designed' needs rows >= 16, got 12" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unreachable_phase_rank_exits_2_without_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # an explicit k whose levels hold 26 rows cannot serve the rank-38 phase
+        def no_problem(*args, **kwargs):
+            raise AssertionError("a problem was generated before validation ended")
+
+        monkeypatch.setattr(harness_module, "designed_problem", no_problem)
+        ini = tmp_path / "rank.ini"
+        ini.write_text(FAST_CUSTOM.replace("k = 0,0,6,32", "k = 0,0,6,20")
+                       .replace("phases = 6:10, 38:60", "phases = 6:30, 38:400"))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini), "--output", str(out)])
+        assert code == 2
+        assert "no responder count reaches rank 38" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["rank.ini"]
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
     def test_unreachable_threshold_exits_before_any_replication(

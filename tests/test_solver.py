@@ -537,6 +537,21 @@ class TestRunSequential:
         g = Fr.T @ (Fr @ x - problem.b)
         assert subgradient_residual(g, x, problem.gamma) <= 1e-8
 
+    @pytest.mark.parametrize("planted", [True, False], ids=["x_star", "zero"])
+    def test_suboptimality_is_relative_norm(self, planted):
+        # x_star = 0 divides by 1 instead of its norm
+        designed = designed_problem(SeededRng(79), rows=12, cols=60, gamma=1.0,
+                                    sigma_top=3.0, hidden_mode=6, fringe_size=4)
+        x_star = designed.planted_optimum if planted else np.zeros(60)
+        sched = ApproxSchedule.build(Configuration(L=3, n=7, k=(3, 4, 5)), [(3, 20), (12, 30)])
+        trace = run_sequential(
+            designed.problem, sched, LatencyModel.exponential(1.0), 4,
+            x_star=x_star, keep_iterates=True,
+        )
+        denom = float(np.linalg.norm(x_star)) if planted else 1.0
+        want = [float(np.linalg.norm(x - x_star)) / denom for x in trace.iterates]
+        assert trace.suboptimality.tolist() == want
+
     def test_support_products_leave_trace_unchanged(self, monkeypatch):
         # F (60 x 1500) and every worker (45 x 1500) pass the size gate, so
         # the worker products, objective and reference read only the support

@@ -227,13 +227,12 @@ class CodedMatvecSystem:
     config: Configuration
     svd: SvdFactors
     workers: tuple[WorkerMatrix, ...]
-    sigma_sq: np.ndarray  # svd.sigma ** 2, the completion weights
 
     @classmethod
     def setup(cls, svd: SvdFactors, config: Configuration) -> "CodedMatvecSystem":
         # the source rows are v_1 .. v_(h_L), in decreasing order of sigma
         workers = tuple(encode_all(svd.V[:, : sum(config.k)].T, config))
-        return cls(config=config, svd=svd, workers=workers, sigma_sq=svd.sigma**2)
+        return cls(config=config, svd=svd, workers=workers)
 
 
 def sequential_matvec(
@@ -250,14 +249,16 @@ def sequential_matvec(
     components.
     """
     elapsed, responders = simulate_wait(model, system.config.L, phase.ell, rng)
-    results = [worker_multiply(system.workers[w - 1], x) for w in responders]
+    results = [
+        worker_multiply(system.workers[w - 1], x) for w in responders
+    ]
     t = decode_prefix(results, system.config)
     if t.shape[0] < phase.rank:
         raise RuntimeError(
             f"decoded {t.shape[0]} components, phase needs {phase.rank}"
         )
     r = phase.rank
-    return system.svd.V[:, :r].dot(system.sigma_sq[:r] * t[:r]), elapsed
+    return system.svd.V[:, :r].dot(system.svd.sigma[:r] ** 2 * t[:r]), elapsed
 
 
 @dataclass(eq=False)

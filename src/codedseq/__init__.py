@@ -20,7 +20,7 @@ from .feasibility import (
     Configuration,
     RowBudget,
     check_feasible,
-    feasible_configs,
+    first_feasible,
     min_rows_oracle,
     row_count_s,
 )

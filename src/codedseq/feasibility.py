@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, count
-from typing import Iterator, Mapping
+from itertools import combinations
+from typing import Iterable, Iterator
 
 __all__ = [
     "Configuration",
@@ -20,7 +20,7 @@ __all__ = [
     "row_count_s",
     "check_feasible",
     "min_rows_oracle",
-    "feasible_configs",
+    "first_feasible",
 ]
 
 
@@ -145,40 +145,33 @@ def min_rows_oracle(
     return best[0]
 
 
-def feasible_configs(
-    L: int,
-    n: int,
-    targets: Mapping[int, int],
-    *,
-    limit: int | None = None,
-) -> list[Configuration]:
-    """Enumerate feasible configurations meeting cumulative-rank targets.
+def first_feasible(
+    L: int, n: int, targets: Iterable[tuple[int, int]]
+) -> Configuration | None:
+    """The lexicographically first feasible configuration meeting the targets.
 
-    ``targets`` maps a responder count ell to the minimum cumulative rank
-    k_1 + ... + k_ell the configuration must provide by that ell.  Returns
-    every feasible configuration satisfying all targets (or the first
-    ``limit`` of them, in lexicographic k order).
+    ``targets`` holds (ell, rank) pairs: the cumulative rank k_1 + ... + k_ell
+    must reach rank by responder count ell, and a repeated ell keeps its
+    largest rank.  Returns None when no feasible configuration meets them.
     """
     if L < 1 or n < 1:
         raise ValueError("L and n must be positive")
-    for ell, rank in targets.items():
+    capacity = n * L
+    # cumulative requirement by each level (targets at earlier ell bind later)
+    required = [0] * (L + 1)
+    for ell, rank in targets:
         if not 1 <= ell <= L:
             raise ValueError(f"target level {ell} outside 1..{L}")
         if rank < 0:
             raise ValueError(f"target rank must be non-negative, got {rank}")
-
-    capacity = n * L
-    # cumulative requirement by each level (targets at earlier ell bind later)
-    required = [0] * (L + 1)
-    for ell, rank in targets.items():
         required[ell] = max(required[ell], rank)
     for ell in range(1, L + 1):
         required[ell] = max(required[ell], required[ell - 1])
 
     R = required[L]
     # every source row costs at least one coded row, which also keeps R <= n*L
-    if R > capacity or (limit is not None and limit < 1):
-        return []
+    if R > capacity:
+        return None
     # least[level][c]: fewest coded rows levels level..L need to meet every
     # remaining target when c source rows (capped at R) precede the level;
     # inf when c already misses required[level - 1].
@@ -190,22 +183,15 @@ def feasible_configs(
             if c >= required[level - 1] else math.inf
             for c in range(R + 1)
         ]
-
-    found: list[Configuration] = []
-
-    def descend(level: int, k_prefix: list[int], used: int, cum: int) -> bool:
-        if level > L:
-            found.append(Configuration(L=L, n=n, k=tuple(k_prefix)))
-            return len(found) == limit
-        for k_i in count():
-            spent = used + row_count_s(level, k_i, L)
-            if spent > capacity:  # row_count_s is nondecreasing in k_i
-                break
-            if spent + least[level + 1][min(cum + k_i, R)] > capacity:
-                continue
-            if descend(level + 1, k_prefix + [k_i], spent, cum + k_i):
-                return True
-        return False
-
-    descend(1, [], 0, 0)
-    return found
+    if least[1][0] > capacity:
+        return None
+    # least is exact, so the smallest k_i that leaves room for the levels after
+    # it is never undone; least[level][c] <= room means some k_i <= R - c does
+    k: list[int] = []
+    room = capacity
+    for level in range(1, L + 1):
+        c = sum(k)
+        k.append(next(k_i for k_i in range(R - c + 1)
+                      if row_count_s(level, k_i, L) + least[level + 1][c + k_i] <= room))
+        room -= row_count_s(level, k[-1], L)
+    return Configuration(L=L, n=n, k=tuple(k))

@@ -12,7 +12,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .cluster import LatencyModel, SeededRng
-from .feasibility import Configuration, feasible_configs
+from .feasibility import Configuration, first_feasible
 from .problems import HIDDEN_MODE, designed_problem, gaussian_problem
 from .solver import (
     ApproxSchedule,
@@ -105,27 +105,23 @@ def resolve_configuration(config: ExperimentConfig) -> Configuration:
     if config.configuration is not None:
         return Configuration(L=config.L, n=config.n, k=config.configuration)
 
-    L, ranks = config.L, [rank for rank, _ in config.phases]
-
-    def first_fit(ells: list[int]) -> list[Configuration]:
-        # sorted by rank, so phases sharing an ell keep the largest rank
-        targets = {ell: rank for rank, ell in sorted(zip(ranks, ells))}
-        return feasible_configs(L, config.n, targets, limit=1)
-
-    ells = [L] * len(ranks)
-    if not first_fit(ells):
-        raise ValueError(f"no feasible configuration supports phase ranks "
-                         f"{ranks} on (L={L}, n={config.n})")
+    L, n, ranks = config.L, config.n, [rank for rank, _ in config.phases]
     # Giving a phase more responders only moves its target to a later level,
     # so feasibility never gets harder as an ell grows: fixing each phase's
     # smallest workable ell in turn, later phases still at L, yields the
     # lexicographically first feasible assignment.
+    ells = [L] * len(ranks)
+    found = first_feasible(L, n, ())
     for idx in range(len(ranks)):
-        ells[idx] = next(
-            e for e in range(ells[idx - 1] if idx else 1, L + 1)
-            if first_fit(ells[:idx] + [e] + ells[idx + 1:])
-        )
-    return first_fit(ells)[0]
+        for e in range(ells[idx - 1] if idx else 1, L + 1):
+            ells[idx] = e
+            found = first_feasible(L, n, zip(ells, ranks))
+            if found is not None:
+                break
+        else:
+            raise ValueError(f"no feasible configuration supports phase ranks "
+                             f"{ranks} on (L={L}, n={n})")
+    return found
 
 
 def validate_experiment(
@@ -201,9 +197,16 @@ def _load_source(path: str) -> tuple[np.ndarray, np.ndarray]:
     """F and b from an .npz archive; any defect raises ValueError."""
     try:
         with np.load(path) as data:  # a lone .npy array is no context manager
-            return data["F"], data["b"]
+            F, b = data["F"], data["b"]
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise ValueError(f"cannot read F and b from source_path {path!r}: {exc}") from exc
+    for name, array in (("F", F), ("b", b)):
+        if array.dtype.kind not in "iuf":
+            raise ValueError(f"source_path {path!r} holds {name} of dtype "
+                             f"{array.dtype}, expected integers or reals")
+        if not np.isfinite(array).all():
+            raise ValueError(f"source_path {path!r} holds a non-finite value in {name}")
+    return F, b
 
 
 def trace_rows(run_id: str, algorithm: str, trace: RunTrace) -> list[list[str]]:
@@ -297,7 +300,8 @@ class ExperimentSummary:
 def summarize_trace_file(
     path: "str | Path", label: str, threshold: float
 ) -> ExperimentSummary:
-    """Aggregate a trace file into replication means (no hidden state)."""
+    """Aggregate a trace file into replication means (no hidden state); a
+    trace that does not pair sequential and baseline runs raises ValueError."""
     rows = read_trace_csv(path)
     runs: dict[str, list[dict[str, object]]] = {}
     for row in rows:
@@ -305,9 +309,11 @@ def summarize_trace_file(
 
     times = {"sequential": [], "baseline": []}
     finals = {"sequential": [], "baseline": []}
-    for run_rows in runs.values():
+    for run_id, run_rows in runs.items():
         run_rows.sort(key=lambda r: r["iteration"])
         alg = str(run_rows[0]["algorithm"])
+        if alg not in times:
+            raise ValueError(f"trace run {run_id!r} has unknown algorithm {alg!r}")
         hit = next(
             (r["cum_time"] for r in run_rows if r["suboptimality"] <= threshold),
             None,
@@ -316,6 +322,10 @@ def summarize_trace_file(
         finals[alg].append(run_rows[-1]["suboptimality"])
 
     n_rep = len(times["sequential"])
+    if not n_rep or n_rep != len(times["baseline"]):
+        raise ValueError(
+            f"trace holds {n_rep} sequential and {len(times['baseline'])} "
+            "baseline runs; a summary pairs at least one of each, one to one")
     reached_seq = [t for t in times["sequential"] if t is not None]
     reached_base = [t for t in times["baseline"] if t is not None]
     return ExperimentSummary(

@@ -29,6 +29,11 @@ __all__ = ["DesignedProblem", "designed_problem", "gaussian_problem"]
 # The default tail mode that holds the fringe certificate; a designed instance
 # needs at least this many rows.
 HIDDEN_MODE = 16
+# Planted spike size, half-width of the off-support certificate box (inside
+# [-1, 1]) and smallest-to-largest singular value ratio: cond(F) = 1/SIGMA_DECAY.
+SPIKE = 5.0
+CERTIFICATE_BOX = 0.2
+SIGMA_DECAY = 0.7
 
 
 @dataclass(frozen=True)
@@ -45,17 +50,14 @@ def designed_problem(
     rows: int = 38,
     cols: int = 500,
     gamma: float = 5.0,
-    spike: float = 5.0,
     fringe_size: int = 8,
     fringe_scale: float = 0.05,
-    certificate_box: float = 0.2,
     sigma_top: float = 4.0,
-    sigma_decay: float = 0.7,
     hidden_mode: int = HIDDEN_MODE,
 ) -> DesignedProblem:
     """Instance with planted optimum: one spike plus a small hidden fringe.
 
-    The optimum is ``spike`` on one coordinate plus ``fringe_size`` small
+    The optimum is ``SPIKE`` on one coordinate plus ``fringe_size`` small
     coordinates of relative size ``fringe_scale``.  The fringe's certificate
     lives entirely in right-singular mode ``hidden_mode`` (1-based), so any
     truncation of rank < hidden_mode solves the spike-only problem instead;
@@ -76,7 +78,7 @@ def designed_problem(
     if not 1 <= fringe_size < cols:
         raise ValueError(f"fringe_size {fringe_size} outside 1..{cols - 1}")
     gen = rng.generator
-    sigma = sigma_top * sigma_decay ** (np.arange(rows) / (rows - 1))
+    sigma = sigma_top * SIGMA_DECAY ** (np.arange(rows) / (rows - 1))
 
     j0 = int(gen.integers(cols))
     s0 = float(gen.choice([-1.0, 1.0]))
@@ -84,15 +86,15 @@ def designed_problem(
     fringe = gen.choice(others, size=fringe_size, replace=False)
     fr_sign = gen.choice([-1.0, 1.0], size=fringe_size)
     fr_values = (
-        fringe_scale * spike / np.sqrt(fringe_size)
+        fringe_scale * SPIKE / np.sqrt(fringe_size)
         * fr_sign * (0.7 + 0.6 * gen.random(fringe_size))
     )
     x_opt = np.zeros(cols)
-    x_opt[j0] = spike * s0
+    x_opt[j0] = SPIKE * s0
     x_opt[fringe] = fr_values
 
     # optimality certificate: sign on the support, strict interior elsewhere
-    xi = gen.uniform(-certificate_box, certificate_box, size=cols)
+    xi = gen.uniform(-CERTIFICATE_BOX, CERTIFICATE_BOX, size=cols)
     xi[j0] = s0
     xi[fringe] = np.sign(fr_values)
     xi_hidden = np.zeros(cols)

@@ -86,8 +86,8 @@ SVD_RCOND = 1e-12
 # fails it and goes to LAPACK.  With sigma spaced geometrically from 1 to
 # 1/cond between random orthonormal factors, every 38 x 500 F with cond <= 25
 # passed, 2 of 10 passed at cond 50 and none from cond 80 on (at 150 x 5000:
-# all up to cond 50, none at 80).  A `designed` F has cond(F) = 1/sigma_decay,
-# about 1.43 by default.
+# all up to cond 50, none at 80).  A `designed` F has cond(F) =
+# 1/problems.SIGMA_DECAY, about 1.43.
 GRAM_ORTHO_TOL = 1e-13
 
 
@@ -143,10 +143,9 @@ class SvdFactors:
     def dense(self) -> np.ndarray:
         return self.U @ (self.sigma[:, None] * self.V.T)
 
-    def gradient_offset(self, b: np.ndarray, rank: int | None = None) -> np.ndarray:
-        """F_(r)^T b for the rank-r truncation (full rank by default)."""
-        r = self.rank if rank is None else rank
-        return self.V[:, :r] @ (self.sigma[:r] * (self.U[:, :r].T @ b))
+    def gradient_offset(self, b: np.ndarray, rank: int) -> np.ndarray:
+        """F_(r)^T b for the rank-r truncation."""
+        return self.V[:, :rank] @ (self.sigma[:rank] * (self.U[:, :rank].T @ b))
 
 
 def truncate_svd(svd: SvdFactors, rank: int) -> SvdFactors:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from codedseq.feasibility import (
     Configuration,
     check_feasible,
-    feasible_configs,
+    first_feasible,
     min_rows_oracle,
     row_count_s,
 )
@@ -106,23 +106,28 @@ class TestOracle:
 
 class TestFeasibleConfigs:
     def test_contains_rank_schedule_witness(self):
-        configs = feasible_configs(4, 10, {3: 6, 4: 38})
-        assert Configuration(L=4, n=10, k=(0, 0, 6, 32)) in configs
-        for cfg in configs:
-            assert check_feasible(cfg).feasible
-            h = cfg.cumulative_ranks()
-            assert h[2] >= 6 and h[3] >= 38
+        cfg = first_feasible(4, 10, [(3, 6), (4, 38)])
+        assert cfg == Configuration(L=4, n=10, k=(0, 0, 6, 32))
+        assert check_feasible(cfg).feasible
 
     def test_contains_two_level_witness(self):
-        configs = feasible_configs(4, 10, {1: 5, 2: 15})
-        assert Configuration(L=4, n=10, k=(5, 10, 0, 0)) in configs
+        cfg = first_feasible(4, 10, [(1, 5), (2, 15)])
+        assert cfg == Configuration(L=4, n=10, k=(5, 10, 0, 0))
 
     def test_impossible_target_yields_nothing(self):
-        assert feasible_configs(1, 1, {1: 2}) == []
+        assert first_feasible(1, 1, [(1, 2)]) is None
 
-    def test_limit_short_circuits(self):
-        configs = feasible_configs(4, 10, {4: 1}, limit=3)
-        assert len(configs) == 3
+    @pytest.mark.parametrize("L, n, targets", [
+        (4, 10, [(0, 1)]), (4, 10, [(5, 1)]), (4, 10, [(2, -1)]),
+        (0, 10, []), (4, 0, []),
+    ])
+    def test_rejects_bad_arguments(self, L, n, targets):
+        with pytest.raises(ValueError):
+            first_feasible(L, n, targets)
+
+    @pytest.mark.parametrize("targets", [[(3, 6), (3, 2)], [(3, 2), (3, 6)]])
+    def test_repeated_level_keeps_largest_rank(self, targets):
+        assert first_feasible(4, 10, targets) == first_feasible(4, 10, [(3, 6)])
 
     def test_reference_configurations_tight(self):
         for n, k in ((10, (0, 0, 6, 32)), (10, (5, 10, 0, 0))):
@@ -159,15 +164,9 @@ class TestFeasibleConfigsBruteForce:
                     if all(cfg.cumulative_ranks()[ell - 1] >= rank
                            for ell, rank in targets.items())
                 ]
-                for limit in (None, 1, 3):
-                    got = feasible_configs(L, n, targets, limit=limit)
-                    assert got == want[:limit], (L, n, targets, limit)
+                got = first_feasible(L, n, targets.items())
+                assert got == (want[0] if want else None), (L, n, targets)
 
     def test_rank_above_capacity_yields_nothing(self):
-        assert feasible_configs(3, 2, {3: 7}) == []
-        assert feasible_configs(3, 2, {3: 6}) == [
-            Configuration(L=3, n=2, k=(0, 0, 6))
-        ]
-
-    def test_zero_limit_yields_nothing(self):
-        assert feasible_configs(4, 10, {4: 1}, limit=0) == []
+        assert first_feasible(3, 2, [(3, 7)]) is None
+        assert first_feasible(3, 2, [(3, 6)]) == Configuration(L=3, n=2, k=(0, 0, 6))

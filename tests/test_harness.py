@@ -9,7 +9,7 @@ import pytest
 import codedseq.harness as harness_module
 from codedseq.cli import main
 from codedseq.cluster import LatencyModel
-from codedseq.feasibility import Configuration, feasible_configs
+from codedseq.feasibility import Configuration, first_feasible
 from codedseq.harness import (
     ExperimentConfig,
     ExperimentSummary,
@@ -120,10 +120,9 @@ def scan_resolve(config):
             yield from assignments(ell, idx + 1, acc + [ell])
 
     for ells in assignments(1, 0, []):
-        targets = {ell: rank for rank, ell in zip(ranks, ells)}
-        hits = feasible_configs(config.L, config.n, targets, limit=1)
-        if hits:
-            return hits[0]
+        found = first_feasible(config.L, config.n, zip(ells, ranks))
+        if found is not None:
+            return found
     return None
 
 
@@ -147,6 +146,11 @@ class TestAutoConfiguration:
         )
         with pytest.raises(ValueError):
             resolve_configuration(cfg)
+
+    def test_no_phases_rejected(self):
+        config = ExperimentConfig(label="x", phases=(), configuration=None)
+        with pytest.raises(ValueError, match="at least one phase"):
+            validate_experiment(config)
 
     def test_wide8_schedule(self):
         cfg = ExperimentConfig(
@@ -217,6 +221,20 @@ class TestTraceIO:
         message = f"trace line 3 has {fields} fields, expected 8"
         with pytest.raises(ValueError, match=message):
             read_trace_csv(path)
+        with pytest.raises(ValueError, match=message):
+            summarize_trace_file(path, "custom", 1e-3)
+
+    @pytest.mark.parametrize("algorithms, message", [
+        (["other"], "'r0'.*'other'"),
+        (["baseline"], "0 sequential and 1 baseline"),
+        (["sequential"], "1 sequential and 0 baseline"),
+        (["sequential", "baseline", "baseline"], "1 sequential and 2 baseline"),
+        ([], "0 sequential and 0 baseline"),
+    ], ids=["unknown-algorithm", "baseline-only", "sequential-only", "unequal", "empty"])
+    def test_summary_rejects_unpaired_runs(self, tmp_path, algorithms, message):
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, [[f"r{i}", alg, "1", "1", "1", "1", "2", "0.1"]
+                               for i, alg in enumerate(algorithms)])
         with pytest.raises(ValueError, match=message):
             summarize_trace_file(path, "custom", 1e-3)
 
@@ -413,6 +431,22 @@ class TestParseConfig:
         assert summary.replications == 3
         assert len(calls) == 1
         assert len(read_trace_csv(out)) == 3 * (25 + 25)
+
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda F, b: (F + 1j, b), "dtype complex128"),
+        (lambda F, b: (np.where(F > 1, np.nan, F), b), "non-finite value in F"),
+        (lambda F, b: (F, np.append(b[:-1], np.inf)), "non-finite value in b"),
+    ], ids=["complex-F", "nan-in-F", "inf-in-b"])
+    def test_file_source_must_be_real_and_finite(self, tmp_path, make, message):
+        rng = np.random.default_rng(0)
+        F, b = make(rng.standard_normal((6, 12)), rng.standard_normal(6))
+        npz = write_source(tmp_path / "problem.npz", F, b)
+        config = ExperimentConfig(
+            label="file", L=2, n=5, rows=6, cols=12, rank=6, source="file",
+            source_path=str(npz), phases=((3, 5), (6, 20)), configuration=(3, 3))
+        with pytest.raises(ValueError, match=f"source_path.*{message}"):
+            validate_experiment(config)
 
 
 class TestCli:
@@ -780,8 +814,11 @@ class TestCli:
             lambda d: write_source(d / "wide.npz", np.ones((38, 501)), np.ones(38)),
             lambda d: write_source(d / "short_b.npz", np.ones((38, 500)), np.ones(37)),
             lambda d: np.save(d / "plain.npy", np.ones((38, 500))) or d / "plain.npy",
+            lambda d: write_source(d / "complex.npz", np.random.default_rng(0)
+                                   .standard_normal((38, 500)) * (1 + 1j), np.ones(38)),
         ],
-        ids=["missing-file", "missing-b", "wrong-F-shape", "wrong-b-shape", "not-npz"],
+        ids=["missing-file", "missing-b", "wrong-F-shape", "wrong-b-shape", "not-npz",
+             "complex-F"],
     )
     def test_experiment_bad_source_file_exit_2(self, tmp_path, capsys, make):
         ini = tmp_path / "file.ini"
@@ -794,6 +831,7 @@ class TestCli:
         assert code == 2
         assert "source_path" in capsys.readouterr().err
         assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_experiment_bad_config_no_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

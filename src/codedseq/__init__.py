@@ -5,6 +5,15 @@ any ell of L workers determine the first ell blocks, simulates straggler
 latencies, and drives a sequential-approximation proximal-gradient lasso
 solver whose early phases use low-rank truncations served by fewer workers.
 """
+import os as _os
+
+# BLAS products round differently at different thread counts, so a trace's
+# bytes would depend on the machine's core count.  Pin one thread unless the
+# caller set a count; this holds only when codedseq is imported before numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+del _os, _var
+
 from .cluster import LatencyModel, SeededRng, order_stat_mean, sample_round, simulate_wait
 from .codec import (
     InfeasibleConfiguration,

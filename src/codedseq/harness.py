@@ -6,8 +6,10 @@ import csv
 import os
 import zipfile
 from dataclasses import dataclass
+from itertools import groupby, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .solver import (
 __all__ = [
     "ExperimentConfig",
     "ExperimentSummary",
+    "TRACE_COLUMNS",
     "TRACE_HEADER",
     "make_preset",
     "parse_config_file",
@@ -37,9 +40,20 @@ __all__ = [
     "read_trace_csv",
 ]
 
-TRACE_HEADER = (
-    "run_id,algorithm,iteration,phase,iter_time,cum_time,objective,suboptimality"
+# The trace's columns in file order, each with the type its text parses as.
+# The columns after ``iteration`` are the RunTrace fields of the same name.
+TRACE_COLUMNS: tuple[tuple[str, Callable[[str], object]], ...] = (
+    ("run_id", str),
+    ("algorithm", str),
+    ("iteration", int),
+    ("phase", int),
+    ("iter_time", float),
+    ("cum_time", float),
+    ("objective", float),
+    ("suboptimality", float),
 )
+_TRACE_NAMES = [name for name, _ in TRACE_COLUMNS]
+TRACE_HEADER = ",".join(_TRACE_NAMES)
 
 PRESET_NAMES = ("example1", "example2")
 
@@ -210,11 +224,12 @@ def _load_source(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trace_rows(run_id: str, algorithm: str, trace: RunTrace) -> list[list[str]]:
+    """One run's CSV rows, fields in TRACE_COLUMNS order."""
     fmt = "%.17g".__mod__  # for a float, the same text as f"{v:.17g}"
-    columns = [map(fmt, values.tolist()) for values in (
-        trace.iter_time, trace.cum_time, trace.objective, trace.suboptimality)]
-    return [[run_id, algorithm, str(k), str(phase), *values]
-            for k, (phase, *values) in enumerate(zip(trace.phase.tolist(), *columns), start=1)]
+    columns = [map(fmt if parse is float else str, getattr(trace, name).tolist())
+               for name, parse in TRACE_COLUMNS[3:]]
+    return [[run_id, algorithm, str(k), *values]
+            for k, values in enumerate(zip(*columns), start=1)]
 
 
 def write_trace_csv(path: "str | Path", rows: Iterable[list[str]]) -> None:
@@ -231,25 +246,58 @@ def write_trace_csv(path: "str | Path", rows: Iterable[list[str]]) -> None:
         raise
 
 
-def read_trace_csv(path: "str | Path") -> list[dict[str, object]]:
-    """Trace rows as dicts keyed by TRACE_HEADER's fields, blank lines skipped;
-    a wrong header or a row with the wrong field count raises ValueError."""
-    out = []
+# Rows the trace reader parses at a time: enough to parse column by column,
+# few enough that the text held at once stays far below the trace's size.
+_CHUNK_ROWS = 128
+
+
+def _trace_chunks(path: "str | Path") -> Iterator[list[list]]:
+    """A trace file's data rows, blank lines skipped, in chunks of up to
+    _CHUNK_ROWS rows, each chunk as one parsed list per TRACE_COLUMNS column.
+    A wrong header, a row with the wrong field count or a field that does not
+    parse raises ValueError naming the line."""
+    parsers = [parse for _, parse in TRACE_COLUMNS]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != TRACE_HEADER.split(","):
+        if header != _TRACE_NAMES:
             raise ValueError(f"unexpected trace header {header}")
-        for row in filter(None, reader):  # a blank line reads as []
-            if len(row) != len(header):
+        rows = filter(None, reader)  # a blank line reads as []
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            if set(map(len, chunk)) != {len(parsers)}:
+                _raise_first_defect(path)
+            try:
+                columns = [list(map(parse, texts))
+                           for parse, texts in zip(parsers, zip(*chunk))]
+            except ValueError:
+                _raise_first_defect(path)
+            yield columns
+
+
+def _raise_first_defect(path: "str | Path") -> NoReturn:
+    """Re-read a trace row by row; raise the ValueError naming its first bad line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in filter(None, reader):
+            if len(row) != len(TRACE_COLUMNS):
                 raise ValueError(f"trace line {reader.line_num} has {len(row)} fields, "
-                                 f"expected {len(header)}")
-            run_id, algorithm, iteration, phase, iter_time, cum_time, objective, sub = row
-            out.append({"run_id": run_id, "algorithm": algorithm,
-                        "iteration": int(iteration), "phase": int(phase),
-                        "iter_time": float(iter_time), "cum_time": float(cum_time),
-                        "objective": float(objective), "suboptimality": float(sub)})
-    return out
+                                 f"expected {len(TRACE_COLUMNS)}")
+            for (name, parse), text in zip(TRACE_COLUMNS, row):
+                try:
+                    parse(text)
+                except ValueError:
+                    form = _INTEGER if parse is int else _NUMBER
+                    raise ValueError(f"trace line {reader.line_num} {name} "
+                                     f"{text!r} is not {form}") from None
+    raise ValueError(f"trace file {path} changed while it was read")
+
+
+def read_trace_csv(path: "str | Path") -> list[dict[str, object]]:
+    """Trace rows as dicts keyed by TRACE_COLUMNS' names, values parsed; a
+    malformed trace raises ValueError naming the line."""
+    return [dict(zip(_TRACE_NAMES, record))
+            for columns in _trace_chunks(path) for record in zip(*columns)]
 
 
 @dataclass(frozen=True)
@@ -300,26 +348,47 @@ class ExperimentSummary:
 def summarize_trace_file(
     path: "str | Path", label: str, threshold: float
 ) -> ExperimentSummary:
-    """Aggregate a trace file into replication means (no hidden state); a
-    trace that does not pair sequential and baseline runs raises ValueError."""
-    rows = read_trace_csv(path)
-    runs: dict[str, list[dict[str, object]]] = {}
-    for row in rows:
-        runs.setdefault(str(row["run_id"]), []).append(row)
+    """Aggregate a trace file into replication means (no hidden state).
+
+    Each run is folded while the file is read: its first iteration at or below
+    the threshold (the earliest row among equal iterations) with that row's
+    cum_time, and its last iteration's suboptimality (the latest row among
+    equal iterations), so rows may come in any order.  A run naming more than
+    one algorithm, an unknown algorithm, or a trace that does not pair
+    sequential and baseline runs raises ValueError.
+    """
+    # run id -> [algorithm, hit iteration, hit cum_time, last iteration, final]
+    runs: dict[str, list] = {}
+    pick = itemgetter(*map(_TRACE_NAMES.index, (
+        "run_id", "algorithm", "iteration", "cum_time", "suboptimality")))
+    for columns in _trace_chunks(path):
+        run_ids, algorithms, *numbers = pick(columns)
+        iteration, cum_time, sub = map(np.array, numbers)
+        end = 0
+        for run_id, same in groupby(run_ids):  # one stretch of consecutive rows
+            start, end = end, end + len(list(same))
+            run = runs.setdefault(run_id, [algorithms[start], None, None, None, None])
+            names = {run[0], *algorithms[start:end]}
+            if len(names) > 1:
+                raise ValueError(f"trace run {run_id!r} names more than one algorithm: "
+                                 f"{', '.join(map(repr, sorted(names)))}")
+            its = iteration[start:end]
+            hits = np.flatnonzero(sub[start:end] <= threshold)  # nan never hits
+            if hits.size:
+                j = start + hits[its[hits].argmin()]  # the first of the lowest
+                if run[1] is None or iteration[j] < run[1]:
+                    run[1], run[2] = iteration[j], cum_time[j]
+            k = end - 1 - its[::-1].argmax()  # the last of the highest
+            if run[3] is None or iteration[k] >= run[3]:
+                run[3], run[4] = iteration[k], sub[k]
 
     times = {"sequential": [], "baseline": []}
     finals = {"sequential": [], "baseline": []}
-    for run_id, run_rows in runs.items():
-        run_rows.sort(key=lambda r: r["iteration"])
-        alg = str(run_rows[0]["algorithm"])
+    for run_id, (alg, _, hit, _, final) in runs.items():
         if alg not in times:
             raise ValueError(f"trace run {run_id!r} has unknown algorithm {alg!r}")
-        hit = next(
-            (r["cum_time"] for r in run_rows if r["suboptimality"] <= threshold),
-            None,
-        )
         times[alg].append(hit)
-        finals[alg].append(run_rows[-1]["suboptimality"])
+        finals[alg].append(final)
 
     n_rep = len(times["sequential"])
     if not n_rep or n_rep != len(times["baseline"]):
@@ -359,7 +428,7 @@ def run_experiment(
     model = config.latency_model()
     root = SeededRng(seed)
 
-    all_rows: list[list[str]] = []
+    runs: list[tuple[str, str, RunTrace]] = []
     for rep in range(replications):
         problem = draw(root.spawn(rep, 0))
         svd = SvdFactors.from_matrix(problem.F)
@@ -379,10 +448,12 @@ def run_experiment(
             charge_second_round=config.charge_second_round,
         )
         run_tag = f"{config.label}-r{rep:03d}"
-        all_rows.extend(trace_rows(f"{run_tag}-base", "baseline", base))
-        all_rows.extend(trace_rows(f"{run_tag}-seq", "sequential", seq))
+        runs += [(f"{run_tag}-base", "baseline", base),
+                 (f"{run_tag}-seq", "sequential", seq)]
 
-    write_trace_csv(output, all_rows)
+    # formatting one run at a time as the file is written keeps at most one
+    # run's rows as text
+    write_trace_csv(output, (row for run in runs for row in trace_rows(*run)))
     return summarize_trace_file(output, config.label, config.summary_threshold)
 
 

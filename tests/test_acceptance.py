@@ -3,6 +3,7 @@
 Each test prints one pass/fail line (visible with ``pytest -s``); the
 assertion carries the same verdict into the pytest result.
 """
+import os
 import subprocess
 import sys
 from itertools import combinations
@@ -298,24 +299,43 @@ k = 0,0,6,32
 """
 
 
-def test_criterion_9_process_level_determinism(tmp_path):
+def cli_trace(tmp_path, name, env=None) -> bytes:
+    """The trace bytes of one ``codedseq experiment`` process on CUSTOM_INI."""
     cfg_path = tmp_path / "custom.ini"
     cfg_path.write_text(CUSTOM_INI)
-    outputs = []
-    for name in ("first.csv", "second.csv"):
-        out = tmp_path / name
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "codedseq.cli", "experiment", "custom",
-                "--config", str(cfg_path), "--seed", "31415",
-                "--replications", "2", "--output", str(out),
-            ],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
+    out = tmp_path / name
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "codedseq.cli", "experiment", "custom",
+            "--config", str(cfg_path), "--seed", "31415",
+            "--replications", "2", "--output", str(out),
+        ],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return out.read_bytes()
+
+
+def test_criterion_9_process_level_determinism(tmp_path):
+    outputs = [cli_trace(tmp_path, name) for name in ("first.csv", "second.csv")]
     check(
         "criterion 9 (byte-identical traces across processes)",
+        outputs[0] == outputs[1] and len(outputs[0]) > 0,
+        f"{len(outputs[0])} bytes per trace file",
+    )
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_criterion_9_bytes_independent_of_blas_threads(tmp_path):
+    """The same seed writes the same bytes with the BLAS thread variables unset
+    (the library's default) and with them set to one thread."""
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    one = {**unset, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+    outputs = [cli_trace(tmp_path, "unset.csv", unset), cli_trace(tmp_path, "one.csv", one)]
+    check(
+        "criterion 9 (byte-identical traces whatever the BLAS thread setting)",
         outputs[0] == outputs[1] and len(outputs[0]) > 0,
         f"{len(outputs[0])} bytes per trace file",
     )

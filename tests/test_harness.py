@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import random
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,44 @@ def write_source(path, F, b=None):
     arrays = {"F": F} if b is None else {"F": F, "b": b}
     np.savez(path, **arrays)
     return path
+
+
+def sorted_summary(path, label, threshold):
+    """Reference summary: groups every row by run, sorts each run by
+    iteration and reads the first row at or below the threshold and the last
+    row, as the summary did before it folded runs while reading."""
+    runs = {}
+    for row in read_trace_csv(path):
+        runs.setdefault(str(row["run_id"]), []).append(row)
+    times = {"sequential": [], "baseline": []}
+    finals = {"sequential": [], "baseline": []}
+    for run_rows in runs.values():
+        run_rows.sort(key=lambda r: r["iteration"])
+        alg = str(run_rows[0]["algorithm"])
+        times[alg].append(next(
+            (r["cum_time"] for r in run_rows if r["suboptimality"] <= threshold), None))
+        finals[alg].append(run_rows[-1]["suboptimality"])
+    reached_seq = [t for t in times["sequential"] if t is not None]
+    reached_base = [t for t in times["baseline"] if t is not None]
+    return ExperimentSummary(
+        label=label,
+        replications=len(times["sequential"]),
+        threshold=threshold,
+        reached_sequential=len(reached_seq),
+        reached_baseline=len(reached_base),
+        mean_time_sequential=float(np.mean(reached_seq)) if reached_seq else float("nan"),
+        mean_time_baseline=float(np.mean(reached_base)) if reached_base else float("nan"),
+        mean_final_suboptimality=float(np.mean(finals["sequential"])),
+        mean_final_suboptimality_baseline=float(np.mean(finals["baseline"])),
+    )
+
+
+def assert_summary_matches_sorted(path, label, threshold):
+    # astuple compares a nan mean equal to a nan mean
+    np.testing.assert_equal(
+        dataclasses.astuple(summarize_trace_file(path, label, threshold)),
+        dataclasses.astuple(sorted_summary(path, label, threshold)),
+    )
 
 
 @pytest.fixture()
@@ -238,6 +278,33 @@ class TestTraceIO:
         with pytest.raises(ValueError, match=message):
             summarize_trace_file(path, "custom", 1e-3)
 
+    def test_summary_rejects_run_with_two_algorithms(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, [["r0", "baseline", "2", "1", "1", "1", "2", "0.1"],
+                               ["r1", "sequential", "1", "1", "1", "1", "2", "0.1"],
+                               ["r0", "sequential", "1", "1", "1", "1", "2", "0.1"]])
+        with pytest.raises(ValueError, match="'r0' names more than one algorithm: "
+                                             "'baseline', 'sequential'"):
+            summarize_trace_file(path, "custom", 1e-3)
+
+    @pytest.mark.parametrize("column, text, form", [
+        ("iteration", "1.5", "an integer"),
+        ("phase", "one", "an integer"),
+        ("cum_time", "", "a number"),
+        ("suboptimality", "0.1x", "a number"),
+    ])
+    def test_unparsable_field_names_line_and_column(self, tmp_path, column, text, form):
+        good = ["a-base", "baseline", "1", "1", "1", "1", "2", "0.1"]
+        bad = list(good)
+        bad[TRACE_HEADER.split(",").index(column)] = text
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, [good, bad])
+        message = f"trace line 3 {column} {text!r} is not {form}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_trace_csv(path)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            summarize_trace_file(path, "custom", 1e-3)
+
     def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("earlier trace\n")
@@ -245,6 +312,78 @@ class TestTraceIO:
             write_trace_csv(path, [1])  # a row must be iterable
         assert path.read_text() == "earlier trace\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+WIDE8_INI = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "wide8.ini"
+
+
+class TestSummaryFold:
+    """summarize_trace_file folds each run while reading; sorted_summary is
+    the list-and-sort reference it must agree with."""
+
+    @pytest.mark.parametrize("name, replications, charge", [
+        ("example1", 2, False), ("wide8", 1, False), ("wide8", 1, True),
+    ], ids=["example1", "wide8", "wide8-charged"])
+    def test_matches_sorted_summary_on_real_traces(self, tmp_path, name, replications,
+                                                   charge):
+        if name == "example1":
+            config = make_preset(name)
+        else:
+            config = dataclasses.replace(parse_config_file(WIDE8_INI),
+                                         charge_second_round=charge)
+        out = tmp_path / "trace.csv"
+        summary = run_experiment(config, seed=3, replications=replications, output=out)
+        assert summary == sorted_summary(out, config.label, config.summary_threshold)
+        for threshold in (0.0, 1e-30, 1e-6, 0.05, 1.0, 1e9):
+            assert_summary_matches_sorted(out, config.label, threshold)
+
+    def test_matches_sorted_summary_on_hand_written_traces(self, tmp_path):
+        # out of iteration order, duplicate iterations with different values,
+        # a nan suboptimality (never at or below a threshold) and thresholds
+        # one run never reaches
+        rows = [
+            ["s0", "sequential", "3", "2", "1", "3", "5", "0.01"],
+            ["b0", "baseline", "2", "1", "1", "2", "5", "0.2"],
+            ["s0", "sequential", "1", "1", "1", "1", "5", "0.5"],
+            ["s0", "sequential", "3", "2", "1", "3.5", "5", "0.02"],
+            ["b0", "baseline", "1", "1", "1", "1", "5", "nan"],
+            ["s0", "sequential", "2", "1", "1", "2", "5", "0.01"],
+            ["b0", "baseline", "2", "1", "1", "2.5", "5", "0.1"],
+            ["s1", "sequential", "1", "1", "1", "1", "5", "nan"],
+            ["b1", "baseline", "4", "1", "1", "4", "5", "0.05"],
+            ["b1", "baseline", "4", "1", "1", "4.5", "5", "nan"],
+            ["s0", "sequential", "2", "1", "1", "2.5", "5", "0.005"],
+            ["b1", "baseline", "1", "1", "1", "1", "5", "0.05"],
+        ]
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, rows)
+        for threshold in (0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0):
+            assert_summary_matches_sorted(path, "custom", threshold)
+        summary = summarize_trace_file(path, "custom", 0.01)
+        # s0 reaches at iteration 2, first such row in the file; s1 never
+        assert (summary.reached_sequential, summary.mean_time_sequential) == (1, 2.0)
+        # b0 ends on its later iteration-2 row, b1 on its nan row
+        assert np.isnan(summary.mean_final_suboptimality_baseline)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, 128])
+    def test_matches_sorted_summary_on_shuffled_traces(self, tmp_path, monkeypatch,
+                                                       chunk_rows):
+        # small chunks split a run's rows, and its ties, across chunks
+        monkeypatch.setattr(harness_module, "_CHUNK_ROWS", chunk_rows)
+        rng = random.Random(chunk_rows)
+        path = tmp_path / "t.csv"
+        for _ in range(40):
+            rows = []
+            for run in range(rng.randint(1, 3)):
+                for alg, tag in (("sequential", "s"), ("baseline", "b")):
+                    for _ in range(rng.randint(1, 12)):
+                        sub = rng.choice(["nan", "0", "1e-3", str(rng.random())])
+                        rows.append([f"{tag}{run}", alg, str(rng.randint(1, 6)), "1", "1",
+                                     repr(rng.uniform(0, 10)), "1", sub])
+            rng.shuffle(rows)
+            write_trace_csv(path, rows)
+            for threshold in (0.0, 1e-3, 0.5, 2.0):
+                assert_summary_matches_sorted(path, "custom", threshold)
 
 
 class TestRunExperiment:
@@ -306,6 +445,31 @@ class TestRunExperiment:
             by_run.setdefault(r["run_id"], []).append(r["cum_time"])
         for cum in by_run.values():
             assert all(b > a for a, b in zip(cum, cum[1:]))
+
+    def test_memory_does_not_grow_with_trace_text(self, tmp_path):
+        """A run keeps each run's trace as arrays until the one write, so the
+        peak grows per replication by far less than the CSV text it writes."""
+        config = ExperimentConfig(
+            label="small", rows=16, cols=64, rank=16, gamma=1.0,
+            phases=((4, 20), (16, 100)), configuration=None,
+            baseline_iterations=120, summary_threshold=0.05,
+        )
+        out = tmp_path / "trace.csv"
+        few, many = 1, 4
+        # builds the generators, layouts and decode matrices every later run uses
+        run_experiment(config, seed=0, replications=many, output=out)
+        peak, size = {}, {}
+        for reps in (few, many):
+            tracemalloc.start()
+            try:
+                run_experiment(config, seed=0, replications=reps, output=out)
+                peak[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size[reps] = out.stat().st_size
+        growth = (peak[many] - peak[few]) / (many - few)
+        csv_bytes = (size[many] - size[few]) / (many - few)
+        assert growth < 0.5 * csv_bytes, (growth, csv_bytes)
 
     def test_same_seed_byte_identical(self, tmp_path, custom_config_file):
         config = parse_config_file(custom_config_file)

@@ -53,7 +53,6 @@ from .solver import (
     run_sequential,
     sequential_matvec,
     soft_threshold,
-    truncate_svd,
 )
 
 __version__ = "0.1.0"

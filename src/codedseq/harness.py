@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 # The trace's columns in file order, each with the type its text parses as.
-# The columns after ``iteration`` are the RunTrace fields of the same name.
+# The columns after ``iteration`` are the RunTrace attributes of the same name.
 TRACE_COLUMNS: tuple[tuple[str, Callable[[str], object]], ...] = (
     ("run_id", str),
     ("algorithm", str),

@@ -32,7 +32,6 @@ __all__ = [
     "CodedMatvecSystem",
     "RunTrace",
     "soft_threshold",
-    "truncate_svd",
     "sequential_matvec",
     "run_sequential",
     "baseline_schedule",
@@ -148,13 +147,6 @@ class SvdFactors:
         return self.V[:, :rank] @ (self.sigma[:rank] * (self.U[:, :rank].T @ b))
 
 
-def truncate_svd(svd: SvdFactors, rank: int) -> SvdFactors:
-    """Leading-rank factor view (no densification)."""
-    if not 1 <= rank <= svd.rank:
-        raise ValueError(f"rank {rank} outside 1..{svd.rank}")
-    return SvdFactors(U=svd.U[:, :rank], sigma=svd.sigma[:rank], V=svd.V[:, :rank])
-
-
 def soft_threshold(v: np.ndarray, theta: float) -> np.ndarray:
     """Elementwise shrink toward zero by theta; the prox of theta*||.||_1."""
     if theta < 0:
@@ -264,11 +256,11 @@ def sequential_matvec(
 class RunTrace:
     """Per-iteration columns of one simulated run; row k is iteration k + 1.
 
-    ``phase`` holds 1-based phase numbers.  ``iterates`` is the
+    ``lengths`` holds each phase's iteration count.  ``iterates`` is the
     (iterations, cols) array of iterates when the run keeps them.
     """
 
-    phase: np.ndarray
+    lengths: tuple[int, ...]
     iter_time: np.ndarray
     objective: np.ndarray
     suboptimality: np.ndarray
@@ -276,6 +268,11 @@ class RunTrace:
 
     def __len__(self) -> int:
         return len(self.iter_time)
+
+    @property
+    def phase(self) -> np.ndarray:
+        """1-based phase number of each iteration."""
+        return np.repeat(np.arange(1, len(self.lengths) + 1), self.lengths)
 
     @property
     def cum_time(self) -> np.ndarray:
@@ -318,10 +315,10 @@ def run_sequential(
     system = CodedMatvecSystem.setup(svd, schedule.config)
     rng = _as_rng(seed)
 
-    lengths = [phase.iterations for phase in schedule.phases]
+    lengths = tuple(phase.iterations for phase in schedule.phases)
     total = sum(lengths)
     trace = RunTrace(
-        phase=np.repeat(np.arange(1, len(lengths) + 1), lengths),
+        lengths=lengths,
         iter_time=np.empty(total),
         objective=np.empty(total),
         suboptimality=np.empty(total),
@@ -409,6 +406,10 @@ def reference_solution(
     (wrong support, singular F_S^T F_S), ISTA goes on from its own iterate.
     The step is 1/sigma_max(F)^2, read from ``svd`` when the caller holds
     the factors of F and from ``SvdFactors.from_matrix(F)`` otherwise.
+    Rounding keeps the computed residual of even the exact optimum near
+    eps * ||F^T b||_inf: up to 11 times that for the planted optimum of
+    designed 38 x 500 and 150 x 5000 instances with gamma 1e6 and 1e9.  So
+    the test compares the residual with max(tol, 64 * eps * ||F^T b||_inf).
 
     Returns (x_star, residual).  Raises if the cap is hit first.
     """
@@ -418,6 +419,7 @@ def reference_solution(
         return np.zeros(problem.cols), 0.0
     t = 1.0 / float(svd.sigma[0]) ** 2
     h = F.T @ b
+    tol = max(tol, 64 * np.finfo(float).eps * float(np.abs(h).max()))
     x = np.zeros(problem.cols)
     for k in range(1, max_iter + 1):
         x = soft_threshold(x - t * (F.T @ support_product(F, x) - h), t * gamma)

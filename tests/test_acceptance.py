@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from conftest import spectral_norm_power
+from conftest import spectral_norm_power, truncated_dense
 
 from codedseq.cluster import LatencyModel, SeededRng, order_stat_mean, sample_round
 from codedseq.codec import decode_prefix, encode_all, worker_multiply
@@ -28,7 +28,6 @@ from codedseq.solver import (
     reference_solution,
     run_sequential,
     soft_threshold,
-    truncate_svd,
 )
 
 
@@ -238,7 +237,7 @@ def test_criterion_7_solver_fidelity():
     )
     monotone = True
     for idx, phase in enumerate(sched2.phases, start=1):
-        Fr = truncate_svd(svd, phase.rank).dense()
+        Fr = truncated_dense(svd, phase.rank)
         vals = [
             0.5 * np.sum((Fr @ xk - problem.b) ** 2) + problem.gamma * np.abs(xk).sum()
             for xk in trace2.iterates[trace2.phase == idx]
@@ -262,10 +261,10 @@ def test_criterion_8_eckart_young():
         F = rng.standard_normal((20, 40))
         svd = SvdFactors.from_matrix(F)
         for r in range(1, svd.rank):
-            E = F - truncate_svd(svd, r).dense()
+            E = F - truncated_dense(svd, r)
             gap = abs(spectral_norm_power(E, seed=r) - svd.sigma[r])
             worst = max(worst, float(gap))
-        full_err = np.abs(F - truncate_svd(svd, svd.rank).dense()).max()
+        full_err = np.abs(F - truncated_dense(svd, svd.rank)).max()
         worst = max(worst, float(full_err))
     check(
         "criterion 8 (truncation error equals next singular value)",

@@ -164,12 +164,18 @@ class TestGenerator:
         assert gen[0, 0] == 1.0
         assert all(gen[r, 0] != 0.0 for r in range(3))
 
-    def test_all_square_submatrices_invertible(self):
-        # independent re-check by direct determinants
-        gen = make_generator(2, 4)
-        for rows in combinations(range(4), 2):
-            det = np.linalg.det(gen[list(rows)])
-            assert abs(det) > 1e-12
+    @pytest.mark.parametrize("rows_in, rows_out", [
+        (i, o) for o in range(1, 13) for i in range(1, o + 1)])
+    def test_all_square_submatrices_invertible(self, rows_in, rows_out):
+        # every square submatrix of [I; C] is, up to sign, a minor of the
+        # Cauchy block C, so none is singular; check it on every code with at
+        # most 12 coded rows, by singular values and, for (2, 4), determinants
+        gen = make_generator(rows_in, rows_out)
+        for rows in combinations(range(rows_out), rows_in):
+            sv = np.linalg.svd(gen[list(rows)], compute_uv=False)
+            assert sv[-1] > 1e-10 * max(sv[0], 1.0), rows
+            if (rows_in, rows_out) == (2, 4):
+                assert abs(np.linalg.det(gen[list(rows)])) > 1e-12
 
     def test_systematic_prefix(self):
         for rows_in, rows_out in [(1, 4), (2, 5), (3, 5), (4, 6)]:

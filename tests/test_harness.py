@@ -239,7 +239,7 @@ class TestTraceIO:
 
     def test_trace_rows_format_like_fstring(self):
         values = np.array([-0.0, 5e-324, 1e308, 0.1, 3.0, 1 / 3, np.inf, np.nan])
-        trace = RunTrace(phase=np.arange(1, 9), iter_time=values, objective=values[::-1],
+        trace = RunTrace(lengths=(1,) * 8, iter_time=values, objective=values[::-1],
                          suboptimality=values)
         rows = trace_rows("r", "sequential", trace)
         assert [row[:4] for row in rows[:2]] == [["r", "sequential", "1", "1"],
@@ -314,25 +314,13 @@ class TestTraceIO:
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
-WIDE8_INI = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "wide8.ini"
-
-
 class TestSummaryFold:
     """summarize_trace_file folds each run while reading; sorted_summary is
     the list-and-sort reference it must agree with."""
 
-    @pytest.mark.parametrize("name, replications, charge", [
-        ("example1", 2, False), ("wide8", 1, False), ("wide8", 1, True),
-    ], ids=["example1", "wide8", "wide8-charged"])
-    def test_matches_sorted_summary_on_real_traces(self, tmp_path, name, replications,
-                                                   charge):
-        if name == "example1":
-            config = make_preset(name)
-        else:
-            config = dataclasses.replace(parse_config_file(WIDE8_INI),
-                                         charge_second_round=charge)
-        out = tmp_path / "trace.csv"
-        summary = run_experiment(config, seed=3, replications=replications, output=out)
+    @pytest.mark.parametrize("name", ["example1", "wide8", "wide8-charged"])
+    def test_matches_sorted_summary_on_real_traces(self, seed3_trace, name):
+        config, _, out, summary = seed3_trace(name)
         assert summary == sorted_summary(out, config.label, config.summary_threshold)
         for threshold in (0.0, 1e-30, 1e-6, 0.05, 1.0, 1e9):
             assert_summary_matches_sorted(out, config.label, threshold)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import truncated_dense
+
 from codedseq import problems
 from codedseq.cluster import SeededRng
 from codedseq.problems import designed_problem, gaussian_problem
@@ -10,7 +12,6 @@ from codedseq.solver import (
     optimality_residual,
     reference_solution,
     soft_threshold,
-    truncate_svd,
     subgradient_residual,
 )
 
@@ -41,7 +42,7 @@ class TestDesigned:
         designed = designed_problem(SeededRng(3), fringe_scale=0.05)
         prob = designed.problem
         svd = SvdFactors.from_matrix(prob.F)
-        Fr = truncate_svd(svd, 15).dense()
+        Fr = truncated_dense(svd, 15)
         t = 1.0 / svd.sigma[0] ** 2
         h = Fr.T @ prob.b
         x = np.zeros(prob.cols)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import spectral_norm_power
+from conftest import spectral_norm_power, truncated_dense
 
 import codedseq.codec as codec_module
 import codedseq.solver as solver_module
@@ -26,7 +26,6 @@ from codedseq.solver import (
     sequential_matvec,
     soft_threshold,
     subgradient_residual,
-    truncate_svd,
 )
 
 
@@ -76,7 +75,7 @@ class TestSvd:
     def test_full_rank_truncation_reconstructs(self):
         prob = small_problem(1)
         svd = SvdFactors.from_matrix(prob.F)
-        full = truncate_svd(svd, svd.rank).dense()
+        full = truncated_dense(svd, svd.rank)
         err = np.linalg.norm(full - prob.F) / np.linalg.norm(prob.F)
         assert err <= 1e-12
 
@@ -88,7 +87,7 @@ class TestSvd:
     def test_rank_one_error_is_second_singular_value(self):
         prob = small_problem(3)
         svd = SvdFactors.from_matrix(prob.F)
-        E = prob.F - truncate_svd(svd, 1).dense()
+        E = prob.F - truncated_dense(svd, 1)
         assert spectral_norm_power(E, seed=3) == pytest.approx(
             svd.sigma[1], abs=1e-9
         )
@@ -97,7 +96,7 @@ class TestSvd:
         prob = small_problem(4)
         svd = SvdFactors.from_matrix(prob.F)
         for r in range(1, svd.rank):
-            E = prob.F - truncate_svd(svd, r).dense()
+            E = prob.F - truncated_dense(svd, r)
             assert spectral_norm_power(E, seed=r) == pytest.approx(
                 svd.sigma[r], abs=1e-8
             )
@@ -112,16 +111,9 @@ class TestSvd:
         svd = SvdFactors.from_matrix(F)
         H = F.T @ F
         for r in (1, 3, 5):
-            Fr = truncate_svd(svd, r).dense()
+            Fr = truncated_dense(svd, r)
             gap = spectral_norm_power(H - Fr.T @ Fr, seed=r)
             assert gap == pytest.approx(svd.sigma[r] ** 2, rel=1e-9)
-
-    def test_rank_bounds(self):
-        svd = SvdFactors.from_matrix(small_problem(0).F)
-        with pytest.raises(ValueError):
-            truncate_svd(svd, 0)
-        with pytest.raises(ValueError):
-            truncate_svd(svd, svd.rank + 1)
 
 
 def assert_factors_match_lapack(svd, F, tol):
@@ -305,7 +297,7 @@ class TestSequentialMatvec:
         g, _ = sequential_matvec(
             x, phase, system, LatencyModel.exponential(1.0), SeededRng(2)
         )
-        Fr = truncate_svd(svd, 3).dense()
+        Fr = truncated_dense(svd, 3)
         np.testing.assert_allclose(g, Fr.T @ (Fr @ x), rtol=1e-8, atol=1e-10)
 
     def test_top_singular_vector_is_eigenvector(self):
@@ -345,7 +337,7 @@ class TestSequentialMatvec:
         phase = Phase(rank=rank, iterations=1, ell=ell)
         model = LatencyModel.exponential(1.0)
         x = np.random.default_rng(7).standard_normal(15)
-        Fr = truncate_svd(svd, rank).dense()
+        Fr = truncated_dense(svd, rank)
         clock, twin = SeededRng(6).spawn(ell), SeededRng(6).spawn(ell)
         seen = set()
         for _ in range(60):
@@ -430,6 +422,7 @@ class TestRunSequential:
         )
         assert len(trace) == 7
         assert np.all(np.diff(trace.cum_time) > 0)
+        assert trace.lengths == (4, 3)  # the phase column is derived
         assert trace.phase.tolist() == [1] * 4 + [2] * 3
         running, cum = 0.0, []
         for t in trace.iter_time.tolist():
@@ -507,7 +500,7 @@ class TestRunSequential:
             svd=svd, x_star=designed.planted_optimum, keep_iterates=True,
         )
         for phase in sched.phases:
-            Fr = truncate_svd(svd, phase.rank).dense()
+            Fr = truncated_dense(svd, phase.rank)
             vals = [
                 0.5 * np.sum((Fr @ x - problem.b) ** 2)
                 + problem.gamma * np.abs(x).sum()
@@ -533,7 +526,7 @@ class TestRunSequential:
             svd=svd, x_star=designed.planted_optimum, keep_iterates=True,
         )
         x = trace.iterates[-1]
-        Fr = truncate_svd(svd, 4).dense()
+        Fr = truncated_dense(svd, 4)
         g = Fr.T @ (Fr @ x - problem.b)
         assert subgradient_residual(g, x, problem.gamma) <= 1e-8
 
@@ -675,6 +668,18 @@ class TestReferenceSolution:
         x, res = reference_solution(designed.problem)
         assert res <= 1e-10
         assert optimality_residual(designed.problem, x) == res
+        x_opt = designed.planted_optimum
+        assert np.linalg.norm(x - x_opt) / np.linalg.norm(x_opt) <= 1e-8
+
+    def test_large_scale_certified_at_rounding_floor(self):
+        # gamma = 1e6 scales F^T b by about 1e5, and rounding alone then keeps
+        # the residual above an absolute 1e-10; the test scales with |F^T b|
+        designed = designed_problem(SeededRng(0).spawn(0, 0), gamma=1e6)
+        problem = designed.problem
+        floor = 64 * np.finfo(float).eps * np.abs(problem.F.T @ problem.b).max()
+        x, res = reference_solution(problem, max_iter=1000)
+        assert 1e-10 < res <= floor
+        assert optimality_residual(problem, x) == res
         x_opt = designed.planted_optimum
         assert np.linalg.norm(x - x_opt) / np.linalg.norm(x_opt) <= 1e-8
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -14,7 +14,12 @@ __all__ = [
     "simulate_wait",
 ]
 
-_KINDS = ("exponential", "deterministic", "shifted-exponential")
+# Each latency kind and the parameters it reads; the others keep their defaults.
+_READS = {
+    "exponential": ("rate",),
+    "deterministic": ("value",),
+    "shifted-exponential": ("rate", "shift"),
+}
 
 
 @dataclass(frozen=True)
@@ -27,18 +32,23 @@ class LatencyModel:
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown latency kind {self.kind!r}, expected {_KINDS}")
-        # written so that NaN fails every check
-        if self.kind in ("exponential", "shifted-exponential") and not (
-            0 < self.rate < math.inf
-        ):
+        if self.kind not in _READS:
+            raise ValueError(f"unknown latency kind {self.kind!r}, "
+                             f"expected {tuple(_READS)}")
+        reads = _READS[self.kind]
+        ignored = [f"{field.name} = {getattr(self, field.name)}" for field in fields(self)[1:]
+                   if field.name not in reads and getattr(self, field.name) != field.default]
+        if ignored:
+            raise ValueError(f"latency kind {self.kind!r} reads only {', '.join(reads)}; "
+                             f"it ignores {', '.join(ignored)}")
+        # every default passes these; written so that NaN fails every check
+        if not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be finite and > 0, got {self.rate}")
-        if self.kind == "deterministic" and not 0 <= self.value < math.inf:
+        if not 0 <= self.value < math.inf:
             raise ValueError(
                 f"deterministic value must be finite and >= 0, got {self.value}"
             )
-        if self.kind == "shifted-exponential" and not 0 <= self.shift < math.inf:
+        if not 0 <= self.shift < math.inf:
             raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
 
     @classmethod
@@ -48,10 +58,6 @@ class LatencyModel:
     @classmethod
     def deterministic(cls, value: float) -> "LatencyModel":
         return cls(kind="deterministic", value=value)
-
-    @classmethod
-    def shifted_exponential(cls, shift: float, rate: float) -> "LatencyModel":
-        return cls(kind="shifted-exponential", shift=shift, rate=rate)
 
 
 class SeededRng:

@@ -6,10 +6,9 @@ import csv
 import os
 import zipfile
 from dataclasses import dataclass
-from itertools import groupby, islice
-from operator import itemgetter
+from itertools import groupby
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -246,58 +245,63 @@ def write_trace_csv(path: "str | Path", rows: Iterable[list[str]]) -> None:
         raise
 
 
-# Rows the trace reader parses at a time: enough to parse column by column,
-# few enough that the text held at once stays far below the trace's size.
-_CHUNK_ROWS = 128
+def _trace_runs(path: "str | Path") -> Iterator[tuple[str, str, list[list]]]:
+    """A trace file's runs in file order, as trace_rows writes them: one
+    ``(run_id, algorithm, columns)`` per run, ``columns`` one parsed list per
+    TRACE_COLUMNS column.  Only one run's rows are held at a time.
 
-
-def _trace_chunks(path: "str | Path") -> Iterator[list[list]]:
-    """A trace file's data rows, blank lines skipped, in chunks of up to
-    _CHUNK_ROWS rows, each chunk as one parsed list per TRACE_COLUMNS column.
-    A wrong header, a row with the wrong field count or a field that does not
-    parse raises ValueError naming the line."""
-    parsers = [parse for _, parse in TRACE_COLUMNS]
+    Raises ValueError naming the line on a wrong header, a row with the wrong
+    field count or a field that does not parse, and naming the run and the
+    line on a run whose rows are not consecutive, whose iterations are not
+    1, 2, ... in file order, or that names two algorithms.
+    """
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _TRACE_NAMES:
             raise ValueError(f"unexpected trace header {header}")
-        rows = filter(None, reader)  # a blank line reads as []
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            if set(map(len, chunk)) != {len(parsers)}:
-                _raise_first_defect(path)
-            try:
-                columns = [list(map(parse, texts))
-                           for parse, texts in zip(parsers, zip(*chunk))]
+        numbered = ((reader.line_num, row) for row in reader if row)  # blank: []
+        for run_id, group in groupby(numbered, key=lambda item: item[1][0]):
+            lines, rows = zip(*group)
+            try:  # strict: a row with the wrong field count raises as well
+                columns = [list(map(parse, texts)) for (_, parse), texts
+                           in zip(TRACE_COLUMNS, zip(*rows, strict=True), strict=True)]
             except ValueError:
-                _raise_first_defect(path)
-            yield columns
-
-
-def _raise_first_defect(path: "str | Path") -> NoReturn:
-    """Re-read a trace row by row; raise the ValueError naming its first bad line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in filter(None, reader):
-            if len(row) != len(TRACE_COLUMNS):
-                raise ValueError(f"trace line {reader.line_num} has {len(row)} fields, "
-                                 f"expected {len(TRACE_COLUMNS)}")
-            for (name, parse), text in zip(TRACE_COLUMNS, row):
-                try:
-                    parse(text)
-                except ValueError:
-                    form = _INTEGER if parse is int else _NUMBER
-                    raise ValueError(f"trace line {reader.line_num} {name} "
-                                     f"{text!r} is not {form}") from None
-    raise ValueError(f"trace file {path} changed while it was read")
+                for line, row in zip(lines, rows):  # name the first bad line
+                    if len(row) != len(TRACE_COLUMNS):
+                        raise ValueError(f"trace line {line} has {len(row)} fields, "
+                                         f"expected {len(TRACE_COLUMNS)}") from None
+                    for (name, parse), text in zip(TRACE_COLUMNS, row):
+                        try:
+                            parse(text)
+                        except ValueError:
+                            form = _INTEGER if parse is int else _NUMBER
+                            raise ValueError(f"trace line {line} {name} "
+                                             f"{text!r} is not {form}") from None
+            if run_id in seen:
+                raise ValueError(f"trace run {run_id!r} resumes at line {lines[0]} "
+                                 "after other runs; a run's rows must be consecutive")
+            seen.add(run_id)
+            _, algorithms, iterations, *_ = columns
+            if (algorithms.count(algorithms[0]) != len(rows)
+                    or iterations != list(range(1, len(rows) + 1))):
+                for j, (line, alg, k) in enumerate(zip(lines, algorithms, iterations), 1):
+                    if alg != algorithms[0]:
+                        raise ValueError(f"trace run {run_id!r} names more than one "
+                                         f"algorithm: {algorithms[0]!r}, {alg!r} at line {line}")
+                    if k != j:
+                        raise ValueError(f"trace run {run_id!r} has iteration {k} at line "
+                                         f"{line}, expected {j}")
+            yield run_id, algorithms[0], columns
 
 
 def read_trace_csv(path: "str | Path") -> list[dict[str, object]]:
-    """Trace rows as dicts keyed by TRACE_COLUMNS' names, values parsed; a
-    malformed trace raises ValueError naming the line."""
+    """Trace rows as dicts keyed by TRACE_COLUMNS' names, values parsed, from
+    the run-at-a-time reader: a trace it refuses (see _trace_runs) raises
+    ValueError naming the line."""
     return [dict(zip(_TRACE_NAMES, record))
-            for columns in _trace_chunks(path) for record in zip(*columns)]
+            for _, _, columns in _trace_runs(path) for record in zip(*columns)]
 
 
 @dataclass(frozen=True)
@@ -350,45 +354,22 @@ def summarize_trace_file(
 ) -> ExperimentSummary:
     """Aggregate a trace file into replication means (no hidden state).
 
-    Each run is folded while the file is read: its first iteration at or below
-    the threshold (the earliest row among equal iterations) with that row's
-    cum_time, and its last iteration's suboptimality (the latest row among
-    equal iterations), so rows may come in any order.  A run naming more than
-    one algorithm, an unknown algorithm, or a trace that does not pair
-    sequential and baseline runs raises ValueError.
+    The file is read one run at a time, in the order trace_rows writes it; a
+    trace that breaks that order is refused (see _trace_runs).  A run reaches
+    the threshold at the cum_time of its first iteration at or below it and
+    ends at its last iteration's suboptimality.  An unknown algorithm, or a
+    trace that does not pair sequential and baseline runs, raises ValueError.
     """
-    # run id -> [algorithm, hit iteration, hit cum_time, last iteration, final]
-    runs: dict[str, list] = {}
-    pick = itemgetter(*map(_TRACE_NAMES.index, (
-        "run_id", "algorithm", "iteration", "cum_time", "suboptimality")))
-    for columns in _trace_chunks(path):
-        run_ids, algorithms, *numbers = pick(columns)
-        iteration, cum_time, sub = map(np.array, numbers)
-        end = 0
-        for run_id, same in groupby(run_ids):  # one stretch of consecutive rows
-            start, end = end, end + len(list(same))
-            run = runs.setdefault(run_id, [algorithms[start], None, None, None, None])
-            names = {run[0], *algorithms[start:end]}
-            if len(names) > 1:
-                raise ValueError(f"trace run {run_id!r} names more than one algorithm: "
-                                 f"{', '.join(map(repr, sorted(names)))}")
-            its = iteration[start:end]
-            hits = np.flatnonzero(sub[start:end] <= threshold)  # nan never hits
-            if hits.size:
-                j = start + hits[its[hits].argmin()]  # the first of the lowest
-                if run[1] is None or iteration[j] < run[1]:
-                    run[1], run[2] = iteration[j], cum_time[j]
-            k = end - 1 - its[::-1].argmax()  # the last of the highest
-            if run[3] is None or iteration[k] >= run[3]:
-                run[3], run[4] = iteration[k], sub[k]
-
+    cum_at, sub_at = _TRACE_NAMES.index("cum_time"), _TRACE_NAMES.index("suboptimality")
     times = {"sequential": [], "baseline": []}
     finals = {"sequential": [], "baseline": []}
-    for run_id, (alg, _, hit, _, final) in runs.items():
+    for run_id, alg, columns in _trace_runs(path):
         if alg not in times:
             raise ValueError(f"trace run {run_id!r} has unknown algorithm {alg!r}")
-        times[alg].append(hit)
-        finals[alg].append(final)
+        sub = columns[sub_at]
+        hits = np.flatnonzero(np.array(sub) <= threshold)  # nan never hits
+        times[alg].append(columns[cum_at][hits[0]] if hits.size else None)
+        finals[alg].append(sub[-1])
 
     n_rep = len(times["sequential"])
     if not n_rep or n_rep != len(times["baseline"]):

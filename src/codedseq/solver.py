@@ -394,16 +394,18 @@ def reference_solution(
     max_iter: int = 10**6,
     check_every: int = 50,
 ) -> tuple[np.ndarray, float]:
-    """Exact-matrix proximal gradient run to an optimality residual <= tol.
+    """Accelerated proximal gradient on the exact F to a residual <= tol.
 
-    Proximal gradient finds the support S and signs s of the optimum long
-    before it converges, often within its first few steps.  So the residual
-    is checked after iterations 1, 2, 4, ... below ``check_every`` and then
+    FISTA (Beck & Teboulle 2009) with gradient restart (O'Donoghue & Candes
+    2015): the momentum is dropped whenever it opposes the latest step.  The
+    iterate finds the support S and signs s of the optimum long before it
+    converges, often within its first few steps.  So the residual of x is
+    checked after iterations 1, 2, 4, ... below ``check_every`` and then
     every ``check_every`` iterations, and each check above tol also tries the
-    point that solves the stationarity equations on the iterate's support,
+    point that solves the stationarity equations on x's support,
     (F_S^T F_S) z = F_S^T b - gamma s, zero elsewhere.
     That point is returned only if it passes the same residual test; if not
-    (wrong support, singular F_S^T F_S), ISTA goes on from its own iterate.
+    (wrong support, singular F_S^T F_S), the iteration goes on.
     The step is 1/sigma_max(F)^2, read from ``svd`` when the caller holds
     the factors of F and from ``SvdFactors.from_matrix(F)`` otherwise.
     Rounding keeps the computed residual of even the exact optimum near
@@ -420,9 +422,14 @@ def reference_solution(
     t = 1.0 / float(svd.sigma[0]) ** 2
     h = F.T @ b
     tol = max(tol, 64 * np.finfo(float).eps * float(np.abs(h).max()))
-    x = np.zeros(problem.cols)
+    x = y = np.zeros(problem.cols)  # the iterate and the extrapolated point
+    momentum = 1.0  # FISTA's t_k
     for k in range(1, max_iter + 1):
-        x = soft_threshold(x - t * (F.T @ support_product(F, x) - h), t * gamma)
+        x_prev, x = x, soft_threshold(y - t * (F.T @ support_product(F, y) - h), t * gamma)
+        if (y - x).dot(x - x_prev) > 0:  # the momentum opposes the step: restart
+            momentum = 1.0
+        momentum, prior = (1 + math.sqrt(1 + 4 * momentum**2)) / 2, momentum
+        y = x + (prior - 1) / momentum * (x - x_prev)
         early = k < check_every and k & (k - 1) == 0  # k a power of two
         if early or k % check_every == 0:
             res = optimality_residual(problem, x)

@@ -47,7 +47,7 @@ class TestSampleRound:
         np.testing.assert_allclose(out, -np.log(u) / rate)
 
     def test_shifted_exponential(self):
-        m = LatencyModel.shifted_exponential(shift=0.5, rate=1.0)
+        m = LatencyModel("shifted-exponential", rate=1.0, shift=0.5)
         out = sample_round(m, 100, SeededRng(3))
         assert np.all(out >= 0.5)
 
@@ -77,15 +77,28 @@ class TestSampleRound:
         "make,name",
         [
             (lambda v: LatencyModel.exponential(v), "rate"),
-            (lambda v: LatencyModel.shifted_exponential(0.5, v), "rate"),
+            (lambda v: LatencyModel("shifted-exponential", rate=v, shift=0.5), "rate"),
             (lambda v: LatencyModel.deterministic(v), "value"),
-            (lambda v: LatencyModel.shifted_exponential(v, 1.0), "shift"),
+            (lambda v: LatencyModel("shifted-exponential", shift=v), "shift"),
         ],
         ids=["exponential-rate", "shifted-rate", "deterministic-value", "shift"],
     )
     def test_parameters_must_be_finite(self, make, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make(bad)
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("deterministic", "rate", 2.0),
+        ("deterministic", "shift", 0.5),
+        ("exponential", "value", 7.0),
+        ("exponential", "shift", 0.5),
+        ("shifted-exponential", "value", 7.0),
+        ("exponential", "shift", float("nan")),
+    ])
+    def test_parameters_the_kind_ignores_must_keep_defaults(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"latency kind '{kind}' reads only .*; it ignores {name} = "):
+            LatencyModel(kind, **{name: value})
+        assert LatencyModel(kind) == LatencyModel(kind, **{name: getattr(LatencyModel, name)})
 
 
 class TestOrderStatMean:
@@ -160,7 +173,7 @@ class TestSimulateWait:
 
 LAWS = [
     LatencyModel.exponential(2.0),
-    LatencyModel.shifted_exponential(shift=0.5, rate=1.5),
+    LatencyModel("shifted-exponential", rate=1.5, shift=0.5),
     LatencyModel.deterministic(0.7),
 ]
 

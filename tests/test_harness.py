@@ -72,7 +72,7 @@ def write_source(path, F, b=None):
 def sorted_summary(path, label, threshold):
     """Reference summary: groups every row by run, sorts each run by
     iteration and reads the first row at or below the threshold and the last
-    row, as the summary did before it folded runs while reading."""
+    row."""
     runs = {}
     for row in read_trace_csv(path):
         runs.setdefault(str(row["run_id"]), []).append(row)
@@ -280,11 +280,14 @@ class TestTraceIO:
 
     def test_summary_rejects_run_with_two_algorithms(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_trace_csv(path, [["r0", "baseline", "2", "1", "1", "1", "2", "0.1"],
-                               ["r1", "sequential", "1", "1", "1", "1", "2", "0.1"],
-                               ["r0", "sequential", "1", "1", "1", "1", "2", "0.1"]])
-        with pytest.raises(ValueError, match="'r0' names more than one algorithm: "
-                                             "'baseline', 'sequential'"):
+        write_trace_csv(path, [["r0", "baseline", "1", "1", "1", "1", "2", "0.1"],
+                               ["r0", "sequential", "2", "1", "1", "2", "2", "0.1"],
+                               ["r1", "sequential", "1", "1", "1", "1", "2", "0.1"]])
+        message = ("trace run 'r0' names more than one algorithm: "
+                   "'baseline', 'sequential' at line 3")
+        with pytest.raises(ValueError, match=message):
+            read_trace_csv(path)
+        with pytest.raises(ValueError, match=message):
             summarize_trace_file(path, "custom", 1e-3)
 
     @pytest.mark.parametrize("column, text, form", [
@@ -314,9 +317,15 @@ class TestTraceIO:
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
+def trace_row(run_id, iteration, sub="0.1"):
+    """A trace row of run ``run_id`` whose cum_time is its iteration."""
+    alg = "sequential" if run_id.startswith("s") else "baseline"
+    return [run_id, alg, str(iteration), "1", "1", str(iteration), "5", sub]
+
+
 class TestSummaryFold:
-    """summarize_trace_file folds each run while reading; sorted_summary is
-    the list-and-sort reference it must agree with."""
+    """summarize_trace_file reads one run at a time; sorted_summary is the
+    list-and-sort reference it must agree with on every trace it accepts."""
 
     @pytest.mark.parametrize("name", ["example1", "wide8", "wide8-charged"])
     def test_matches_sorted_summary_on_real_traces(self, seed3_trace, name):
@@ -326,52 +335,69 @@ class TestSummaryFold:
             assert_summary_matches_sorted(out, config.label, threshold)
 
     def test_matches_sorted_summary_on_hand_written_traces(self, tmp_path):
-        # out of iteration order, duplicate iterations with different values,
-        # a nan suboptimality (never at or below a threshold) and thresholds
-        # one run never reaches
-        rows = [
-            ["s0", "sequential", "3", "2", "1", "3", "5", "0.01"],
-            ["b0", "baseline", "2", "1", "1", "2", "5", "0.2"],
-            ["s0", "sequential", "1", "1", "1", "1", "5", "0.5"],
-            ["s0", "sequential", "3", "2", "1", "3.5", "5", "0.02"],
-            ["b0", "baseline", "1", "1", "1", "1", "5", "nan"],
-            ["s0", "sequential", "2", "1", "1", "2", "5", "0.01"],
-            ["b0", "baseline", "2", "1", "1", "2.5", "5", "0.1"],
-            ["s1", "sequential", "1", "1", "1", "1", "5", "nan"],
-            ["b1", "baseline", "4", "1", "1", "4", "5", "0.05"],
-            ["b1", "baseline", "4", "1", "1", "4.5", "5", "nan"],
-            ["s0", "sequential", "2", "1", "1", "2.5", "5", "0.005"],
-            ["b1", "baseline", "1", "1", "1", "1", "5", "0.05"],
-        ]
+        # a nan suboptimality (never at or below a threshold), a run that ends
+        # on nan, a value met again later, and thresholds one run never reaches
+        subs = {"s0": ["0.5", "0.01", "0.005", "0.02"], "b0": ["nan", "0.2", "0.1"],
+                "s1": ["nan"], "b1": ["0.05", "0.05", "nan"]}
         path = tmp_path / "t.csv"
-        write_trace_csv(path, rows)
+        write_trace_csv(path, [trace_row(run_id, k, sub) for run_id, run in subs.items()
+                               for k, sub in enumerate(run, start=1)])
         for threshold in (0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0):
             assert_summary_matches_sorted(path, "custom", threshold)
         summary = summarize_trace_file(path, "custom", 0.01)
-        # s0 reaches at iteration 2, first such row in the file; s1 never
+        # s0 reaches at iteration 2; s1 never
         assert (summary.reached_sequential, summary.mean_time_sequential) == (1, 2.0)
-        # b0 ends on its later iteration-2 row, b1 on its nan row
+        # b1 ends on its nan row
         assert np.isnan(summary.mean_final_suboptimality_baseline)
 
-    @pytest.mark.parametrize("chunk_rows", [1, 5, 128])
-    def test_matches_sorted_summary_on_shuffled_traces(self, tmp_path, monkeypatch,
-                                                       chunk_rows):
-        # small chunks split a run's rows, and its ties, across chunks
-        monkeypatch.setattr(harness_module, "_CHUNK_ROWS", chunk_rows)
-        rng = random.Random(chunk_rows)
+    @pytest.mark.parametrize("seed", [1, 5, 128])
+    def test_matches_sorted_summary_on_shuffled_traces(self, tmp_path, seed):
+        # shuffling whole runs keeps a trace in written order; shuffling rows
+        # breaks it, and such a trace is refused unless the shuffle undid itself
+        rng = random.Random(seed)
         path = tmp_path / "t.csv"
         for _ in range(40):
+            runs = [(f"{tag}{rep}", alg) for rep in range(rng.randint(1, 3))
+                    for alg, tag in (("sequential", "s"), ("baseline", "b"))]
+            rng.shuffle(runs)
             rows = []
-            for run in range(rng.randint(1, 3)):
-                for alg, tag in (("sequential", "s"), ("baseline", "b")):
-                    for _ in range(rng.randint(1, 12)):
-                        sub = rng.choice(["nan", "0", "1e-3", str(rng.random())])
-                        rows.append([f"{tag}{run}", alg, str(rng.randint(1, 6)), "1", "1",
-                                     repr(rng.uniform(0, 10)), "1", sub])
-            rng.shuffle(rows)
+            for run_id, alg in runs:
+                for k in range(1, rng.randint(1, 12) + 1):
+                    sub = rng.choice(["nan", "0", "1e-3", str(rng.random())])
+                    rows.append([run_id, alg, str(k), "1", "1",
+                                 repr(rng.uniform(0, 10)), "1", sub])
             write_trace_csv(path, rows)
             for threshold in (0.0, 1e-3, 0.5, 2.0):
                 assert_summary_matches_sorted(path, "custom", threshold)
+            rng.shuffle(rows)
+            write_trace_csv(path, rows)
+            try:
+                read_trace_csv(path)
+            except ValueError as err:
+                assert str(err).startswith("trace run ")
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    summarize_trace_file(path, "custom", 0.5)
+            else:
+                assert_summary_matches_sorted(path, "custom", 0.5)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([trace_row("s0", 1), trace_row("b0", 1), trace_row("s0", 2)],
+         "trace run 's0' resumes at line 4 after other runs"),
+        ([trace_row("s0", 1), trace_row("s0", 2), trace_row("s0", 2)],
+         "trace run 's0' has iteration 2 at line 4, expected 3"),
+        ([trace_row("b0", 1), trace_row("s0", 3), trace_row("s0", 1), trace_row("s0", 2)],
+         "trace run 's0' has iteration 3 at line 3, expected 1"),
+        ([trace_row("s0", 1), trace_row("s0", 2), trace_row("s0", 4)],
+         "trace run 's0' has iteration 4 at line 4, expected 3"),
+    ], ids=["not-consecutive", "duplicated", "shuffled", "gap"])
+    def test_refuses_runs_out_of_written_order(self, tmp_path, rows, message):
+        # the summary would otherwise need a rule for which of two rows counts
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, rows)
+        with pytest.raises(ValueError, match=message):
+            read_trace_csv(path)
+        with pytest.raises(ValueError, match=message):
+            summarize_trace_file(path, "custom", 1e-3)
 
 
 class TestRunExperiment:
@@ -443,7 +469,10 @@ class TestRunExperiment:
             baseline_iterations=120, summary_threshold=0.05,
         )
         out = tmp_path / "trace.csv"
-        few, many = 1, 4
+        # a 1-replication peak depends on what the process imported before (a
+        # prior `import hypothesis` took the 1-to-4 growth from 7.4 to 21.5 KB
+        # per replication); the 2-to-10 growth reads 8.3 KB either way
+        few, many = 2, 10
         # builds the generators, layouts and decode matrices every later run uses
         run_experiment(config, seed=0, replications=many, output=out)
         peak, size = {}, {}
@@ -891,6 +920,20 @@ class TestCli:
         assert code == 2
         captured = capsys.readouterr()
         assert "rate must be finite and > 0" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_ignored_latency_parameter_exits_2_without_output(self, tmp_path, capsys):
+        # the exponential kind reads only rate: a shift would change nothing
+        ini = tmp_path / "shift.ini"
+        ini.write_text(readme_config_text().replace(
+            "rate = 1.0", "rate = 1.0\nshift = 0.5\nvalue = 7"))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini), "--output", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert ("latency kind 'exponential' reads only rate; it ignores value = 7.0, "
+                "shift = 0.5" in captured.err)
         assert captured.out == ""
         assert not out.exists()
 

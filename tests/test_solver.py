@@ -449,7 +449,7 @@ class TestRunSequential:
     def test_round_times_follow_phase_streams(self, charged):
         problem, svd, cfg, _ = tiny_coded_setup(13)
         phases = (Phase(rank=3, iterations=6, ell=2), Phase(rank=6, iterations=5, ell=3))
-        model = LatencyModel.shifted_exponential(shift=0.2, rate=1.5)
+        model = LatencyModel("shifted-exponential", rate=1.5, shift=0.2)
         trace = run_sequential(
             problem, ApproxSchedule(config=cfg, phases=phases), model, SeededRng(4),
             svd=svd, x_star=np.zeros(15), charge_second_round=charged,
@@ -671,6 +671,17 @@ class TestReferenceSolution:
         x_opt = designed.planted_optimum
         assert np.linalg.norm(x - x_opt) / np.linalg.norm(x_opt) <= 1e-8
 
+    @pytest.mark.parametrize("rep", range(3))
+    @pytest.mark.parametrize("gamma", [0.1, 1.0])
+    def test_gaussian_instances_certified(self, gamma, rep):
+        # the harness's draws for experiment seed 0; at gamma = 0.1 the
+        # support keeps changing, and plain ISTA is still above tol at 200,000
+        problem = gaussian_problem(SeededRng(0).spawn(rep, 0), rows=38, cols=500,
+                                   gamma=gamma)
+        x, res = reference_solution(problem, max_iter=20000)
+        assert res <= 1e-10
+        assert optimality_residual(problem, x) == res
+
     def test_large_scale_certified_at_rounding_floor(self):
         # gamma = 1e6 scales F^T b by about 1e5, and rounding alone then keeps
         # the residual above an absolute 1e-10; the test scales with |F^T b|
@@ -704,13 +715,14 @@ class TestReferenceSolution:
         assert res <= 1e-10
         assert np.linalg.norm(x1 - x50) / np.linalg.norm(x50) <= 1e-8
         # one residual per iterate, plus one per support candidate tried:
-        # every early support was solved, rejected, and ISTA went on
+        # every early support was solved, rejected, and the iteration went on
         assert len(iters) > 1
         assert len(residuals) - len(iters) >= 2
 
     def test_singular_support_gram_rejected(self, monkeypatch):
-        # columns 0 and 1 are equal, so ISTA keeps both on the support and
-        # F_S^T F_S is exactly singular; ISTA alone must reach the residual
+        # columns 0 and 1 are equal, so the iterates keep both on the support
+        # and F_S^T F_S is exactly singular; the iteration alone must reach the
+        # residual
         rng = np.random.default_rng(2)
         F = rng.integers(-3, 4, size=(5, 8)).astype(float)
         F[:, 1] = F[:, 0]
@@ -736,7 +748,7 @@ class TestReferenceSolution:
         np.testing.assert_allclose(x[0], x[1], rtol=1e-12)
 
     def test_wide_support_not_solved(self, monkeypatch):
-        # early ISTA iterates on a gaussian instance carry more than `rows`
+        # early iterates on a gaussian instance carry more than `rows`
         # nonzeros, which no lasso optimum of full-row-rank F does; solving
         # on such a support (up to 157 x 157 here) is wasted work
         problem = gaussian_problem(SeededRng(0), rows=38, cols=500, gamma=1.0)
@@ -785,7 +797,7 @@ class TestReferenceSolution:
         assert res == 0.0
 
     def test_designed_support_certified_at_once(self, monkeypatch):
-        # ISTA's first step already has the planted support and signs
+        # the first proximal step already has the planted support and signs
         problem = designed_problem(
             SeededRng(100).spawn(0, 0), rows=60, cols=1500
         ).problem

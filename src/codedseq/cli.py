@@ -45,11 +45,7 @@ def _parse_k(text: str) -> tuple[int, ...]:
 
 
 def _cmd_feasible(args) -> int:
-    try:
-        cfg = Configuration(L=args.L, n=args.n, k=args.k)
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return VALIDATION_ERROR
+    cfg = Configuration(L=args.L, n=args.n, k=args.k)
     budget = check_feasible(cfg)
     for i, (k_i, s_i) in enumerate(zip(cfg.k, budget.s), start=1):
         print(f"level {i}: k={k_i} s={s_i}")
@@ -59,27 +55,13 @@ def _cmd_feasible(args) -> int:
 
 
 def _cmd_demo_encode(args) -> int:
-    try:
-        cfg = Configuration(L=args.L, n=args.n, k=args.k)
-        budget = check_feasible(cfg)
-        if not budget.feasible:
-            print(
-                f"infeasible configuration: {budget.total} > {budget.capacity}",
-                file=sys.stderr,
-            )
-            return VALIDATION_ERROR
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return VALIDATION_ERROR
+    cfg = Configuration(L=args.L, n=args.n, k=args.k)
+    budget = check_feasible(cfg)
+    if not budget.feasible:
+        raise ValueError(f"infeasible configuration: {budget.total} > {budget.capacity}")
     if args.m < 1:
-        print(f"invalid column count: --m must be >= 1, got {args.m}", file=sys.stderr)
-        return VALIDATION_ERROR
-
-    try:
-        gen = SeededRng(args.seed).generator
-    except ValueError as exc:
-        print(f"invalid seed {args.seed}: {exc}", file=sys.stderr)
-        return VALIDATION_ERROR
+        raise ValueError(f"invalid column count: --m must be >= 1, got {args.m}")
+    gen = SeededRng(args.seed).generator
 
     h = (0, *cfg.cumulative_ranks())  # level i is rows h[i-1]:h[i] of A
     A = gen.standard_normal((h[-1], args.m))
@@ -96,8 +78,7 @@ def _cmd_demo_encode(args) -> int:
         try:
             Path(args.output).write_text(text)
         except OSError as exc:
-            print(f"cannot write --output: {exc}", file=sys.stderr)
-            return RUNTIME_ERROR
+            raise OSError(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -111,9 +92,7 @@ def _cmd_demo_encode(args) -> int:
             for a, b in zip(h, h[1 : ell + 1]):
                 block, truth = decoded[a:b], A[a:b] @ z
                 denom = max(1.0, float(np.abs(truth).max()) if truth.size else 1.0)
-                err = (
-                    float(np.abs(block - truth).max()) / denom if truth.size else 0.0
-                )
+                err = float(np.abs(block - truth).max()) / denom if truth.size else 0.0
                 worst = max(worst, err)
             checked += 1
     ok = worst <= 1e-8
@@ -130,37 +109,25 @@ def _cmd_experiment(args) -> int:
         try:
             config = parse_config_file(args.config)
         except ValueError as exc:
-            print(f"bad config file: {exc}", file=sys.stderr)
-            return VALIDATION_ERROR
+            raise ValueError(f"bad config file: {exc}") from exc
     else:
         if args.config:
-            print(
-                f"preset {args.preset!r} is fixed; --config is only for 'custom'",
-                file=sys.stderr,
-            )
+            print(f"preset {args.preset!r} is fixed; --config is only for 'custom'",
+                  file=sys.stderr)
             return USAGE_ERROR
         config = make_preset(args.preset)
 
-    output = Path(args.output)
-    try:
-        summary = run_experiment(config, args.seed, args.replications, output)
-    except ValueError as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return VALIDATION_ERROR
-    except Exception as exc:  # write_trace_csv leaves no partial output
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
+    summary = run_experiment(config, args.seed, args.replications, args.output)
     for line in summary.lines():
         print(line)
-    print(f"trace written to {output}")
+    print(f"trace written to {Path(args.output)}")
     return 0
 
 
 def _cmd_oracle_check(args) -> int:
     if args.max_L < 1 or args.max_k < 0:
-        print(f"empty sweep: need --max-L >= 1 and --max-k >= 0, got "
-              f"{args.max_L} and {args.max_k}", file=sys.stderr)
-        return VALIDATION_ERROR
+        raise ValueError(f"empty sweep: need --max-L >= 1 and --max-k >= 0, got "
+                         f"{args.max_L} and {args.max_k}")
     mismatches = 0
     checked = 0
     for L in range(1, args.max_L + 1):
@@ -227,9 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; the one place an exception becomes an exit code: a
+    ValueError is invalid input (2), any other a failure while running (3)."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"validation failed: {exc}", file=sys.stderr)
+        return VALIDATION_ERROR
+    except Exception as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return RUNTIME_ERROR
 
 
 if __name__ == "__main__":

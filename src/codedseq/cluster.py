@@ -26,7 +26,7 @@ _READS = {
 class LatencyModel:
     """Per-round worker completion-time distribution."""
 
-    kind: str
+    kind: str = "exponential"
     rate: float = 1.0
     value: float = 1.0
     shift: float = 0.0
@@ -70,6 +70,8 @@ class SeededRng:
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:  # SeedSequence would refuse it only at the first draw
+            raise ValueError(f"invalid seed {seed}: a seed must be >= 0")
         self._key = _key
         self._gen: np.random.Generator | None = None
 

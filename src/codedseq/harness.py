@@ -64,10 +64,7 @@ class ExperimentConfig:
     label: str
     L: int = 4
     n: int = 10
-    latency_kind: str = "exponential"
-    latency_rate: float = 1.0
-    latency_value: float = 1.0
-    latency_shift: float = 0.0
+    latency: LatencyModel = LatencyModel()
     rows: int = 38
     cols: int = 500
     rank: int = 38
@@ -79,14 +76,6 @@ class ExperimentConfig:
     baseline_iterations: int = 500
     charge_second_round: bool = False
     summary_threshold: float = 1e-3
-
-    def latency_model(self) -> LatencyModel:
-        return LatencyModel(
-            kind=self.latency_kind,
-            rate=self.latency_rate,
-            value=self.latency_value,
-            shift=self.latency_shift,
-        )
 
 
 def make_preset(name: str) -> ExperimentConfig:
@@ -140,7 +129,8 @@ def resolve_configuration(config: ExperimentConfig) -> Configuration:
 def validate_experiment(
     config: ExperimentConfig,
 ) -> tuple[ApproxSchedule, ApproxSchedule, Callable[[SeededRng], LassoProblem]]:
-    """Decide everything the run depends on before its first replication.
+    """Decide everything the run depends on before its first replication,
+    gamma included (the seed is decided when run_experiment builds SeededRng).
 
     Returns the sequential schedule, the baseline schedule and ``draw``, which
     gives one replication's problem from that replication's stream.  A file
@@ -155,6 +145,7 @@ def validate_experiment(
     if not config.summary_threshold >= 0:  # suboptimality is >= 0; NaN fails too
         raise ValueError(
             f"[summary] threshold must be >= 0, got {config.summary_threshold}")
+    LassoProblem.check_gamma(config.gamma)
     # a file's rank is known only after its SVD, a designed F has rank rows
     # and a gaussian one full rank
     full_rank = min(config.rows, config.cols)
@@ -197,7 +188,6 @@ def validate_experiment(
             f"source {config.source!r} gives rank {full_rank}, "
             f"the config says {config.rank}"
         )
-    config.latency_model()
     schedule = ApproxSchedule.build(resolve_configuration(config), config.phases)
     if schedule.phases[-1].rank > config.rank:  # phase ranks increase
         raise ValueError("phase ranks exceed the problem rank")
@@ -402,40 +392,49 @@ def run_experiment(
     Each replication draws one problem instance and runs both algorithms on
     it with distinct derived latency streams (variance reduction for the
     speedup estimate).  The summary is recomputed from the written file.
+
+    A ValueError is invalid input, raised before the first replication, as
+    is an OSError naming ``output`` when its directory is missing.  A failure
+    during the run raises RuntimeError (a ValueError from the run, LinAlgError
+    included, is re-raised as one) or OSError.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     schedule, baseline, draw = validate_experiment(config)
-    model = config.latency_model()
     root = SeededRng(seed)
-
+    output = Path(output)
+    if not output.parent.is_dir():
+        raise FileNotFoundError(f"cannot write {output}: no directory {output.parent}")
     runs: list[tuple[str, str, RunTrace]] = []
-    for rep in range(replications):
-        problem = draw(root.spawn(rep, 0))
-        svd = SvdFactors.from_matrix(problem.F)
-        if svd.rank != config.rank:
-            raise RuntimeError(
-                f"replication {rep}: problem rank {svd.rank} != {config.rank}"
+    try:
+        for rep in range(replications):
+            problem = draw(root.spawn(rep, 0))
+            svd = SvdFactors.from_matrix(problem.F)
+            if svd.rank != config.rank:
+                raise RuntimeError(
+                    f"replication {rep}: problem rank {svd.rank} != {config.rank}"
+                )
+            x_star, _ = reference_solution(problem, svd=svd)
+            # only the sequential run charges the transpose round: the baseline
+            # waits once per iteration, as bench/layers.py counts cluster.wait
+            base = run_sequential(
+                problem, baseline, config.latency, root.spawn(rep, 2), svd=svd, x_star=x_star,
             )
-        x_star, _ = reference_solution(problem, svd=svd)
-        # only the sequential run charges the transpose round: the baseline
-        # waits once per iteration, as bench/layers.py counts cluster.wait
-        base = run_sequential(
-            problem, baseline, model, root.spawn(rep, 2), svd=svd, x_star=x_star,
-        )
-        seq = run_sequential(
-            problem, schedule, model, root.spawn(rep, 1),
-            svd=svd, x_star=x_star,
-            charge_second_round=config.charge_second_round,
-        )
-        run_tag = f"{config.label}-r{rep:03d}"
-        runs += [(f"{run_tag}-base", "baseline", base),
-                 (f"{run_tag}-seq", "sequential", seq)]
+            seq = run_sequential(
+                problem, schedule, config.latency, root.spawn(rep, 1),
+                svd=svd, x_star=x_star,
+                charge_second_round=config.charge_second_round,
+            )
+            run_tag = f"{config.label}-r{rep:03d}"
+            runs += [(f"{run_tag}-base", "baseline", base),
+                     (f"{run_tag}-seq", "sequential", seq)]
 
-    # formatting one run at a time as the file is written keeps at most one
-    # run's rows as text
-    write_trace_csv(output, (row for run in runs for row in trace_rows(*run)))
-    return summarize_trace_file(output, config.label, config.summary_threshold)
+        # formatting one run at a time as the file is written keeps at most
+        # one run's rows as text
+        write_trace_csv(output, (row for run in runs for row in trace_rows(*run)))
+        return summarize_trace_file(output, config.label, config.summary_threshold)
+    except ValueError as exc:  # the input was decided valid, so the run failed
+        raise RuntimeError(str(exc)) from exc
 
 
 def parse_config_file(path: "str | Path") -> ExperimentConfig:
@@ -456,16 +455,17 @@ def _boolean(text: str) -> bool:
 
 
 _INTEGER, _NUMBER = "an integer", "a number"
-# ExperimentConfig field: the section and key that set it, the form its value
-# must have and the conversion.  [cluster] L and n are required (a missing one
-# raises KeyError); any other key left out takes the ExperimentConfig default.
+# ExperimentConfig field, or LatencyModel field for [latency]: the section and
+# key that set it, the form its value must have and the conversion.  [cluster]
+# L and n are required (a missing one raises KeyError); any other key left out
+# takes the default of its dataclass.
 _SCALARS: dict[str, tuple[str, str, str, Callable[[str], object]]] = {
     "L": ("cluster", "L", _INTEGER, int),
     "n": ("cluster", "n", _INTEGER, int),
-    "latency_kind": ("latency", "kind", "text", str),
-    "latency_rate": ("latency", "rate", _NUMBER, float),
-    "latency_value": ("latency", "value", _NUMBER, float),
-    "latency_shift": ("latency", "shift", _NUMBER, float),
+    "kind": ("latency", "kind", "text", str),
+    "rate": ("latency", "rate", _NUMBER, float),
+    "value": ("latency", "value", _NUMBER, float),
+    "shift": ("latency", "shift", _NUMBER, float),
     "rows": ("problem", "rows", _INTEGER, int),
     "cols": ("problem", "cols", _INTEGER, int),
     "rank": ("problem", "rank", _INTEGER, int),
@@ -507,7 +507,10 @@ def _read_config(path: "str | Path") -> ExperimentConfig:
         for field, (section, key, form, convert) in _SCALARS.items()
         if section == "cluster" or parser.has_option(section, key)
     }
-    return ExperimentConfig(label="custom", phases=phases, configuration=k, **values)
+    latency = LatencyModel(**{field: values.pop(field) for field, (section, *_)
+                              in _SCALARS.items() if section == "latency" and field in values})
+    return ExperimentConfig(label="custom", latency=latency, phases=phases,
+                            configuration=k, **values)
 
 
 def _scalar(text: str, key: str, form: str, convert: Callable[[str], object],

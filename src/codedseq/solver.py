@@ -56,10 +56,14 @@ class LassoProblem:
             raise ValueError(
                 f"inconsistent shapes: F {F.shape}, b {b.shape}"
             )
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        self.check_gamma(self.gamma)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "b", b)
+
+    @staticmethod
+    def check_gamma(gamma: float) -> None:  # the one rule for a lasso weight
+        if not (np.isfinite(gamma) and gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
 
     @property
     def rows(self) -> int:
@@ -88,6 +92,8 @@ SVD_RCOND = 1e-12
 # all up to cond 50, none at 80).  A `designed` F has cond(F) =
 # 1/problems.SIGMA_DECAY, about 1.43.
 GRAM_ORTHO_TOL = 1e-13
+# The optimality residual reference_solution certifies, above its rounding floor.
+REFERENCE_TOL = 1e-10
 
 
 def _gram_factors(
@@ -390,7 +396,6 @@ def reference_solution(
     problem: LassoProblem,
     *,
     svd: SvdFactors | None = None,
-    tol: float = 1e-10,
     max_iter: int = 10**6,
     check_every: int = 50,
 ) -> tuple[np.ndarray, float]:
@@ -411,7 +416,7 @@ def reference_solution(
     Rounding keeps the computed residual of even the exact optimum near
     eps * ||F^T b||_inf: up to 11 times that for the planted optimum of
     designed 38 x 500 and 150 x 5000 instances with gamma 1e6 and 1e9.  So
-    the test compares the residual with max(tol, 64 * eps * ||F^T b||_inf).
+    tol = max(REFERENCE_TOL, 64 * eps * ||F^T b||_inf).
 
     Returns (x_star, residual).  Raises if the cap is hit first.
     """
@@ -421,7 +426,7 @@ def reference_solution(
         return np.zeros(problem.cols), 0.0
     t = 1.0 / float(svd.sigma[0]) ** 2
     h = F.T @ b
-    tol = max(tol, 64 * np.finfo(float).eps * float(np.abs(h).max()))
+    tol = max(REFERENCE_TOL, 64 * np.finfo(float).eps * float(np.abs(h).max()))
     x = y = np.zeros(problem.cols)  # the iterate and the extrapolated point
     momentum = 1.0  # FISTA's t_k
     for k in range(1, max_iter + 1):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from codedseq.cluster import LatencyModel
 from codedseq.harness import ExperimentConfig, make_preset, parse_config_file, run_experiment
 
 WIDE8_INI = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "wide8.ini"
@@ -21,7 +22,7 @@ SEED3_EXPERIMENTS = {
         label="gaussian", rows=20, cols=60, rank=20, gamma=1.0, source="gaussian",
         phases=((8, 20), (20, 60)), configuration=(0, 4, 0, 16), baseline_iterations=80), 1),
     "deterministic": (lambda: ExperimentConfig(
-        label="deterministic", latency_kind="deterministic", latency_value=0.75,
+        label="deterministic", latency=LatencyModel.deterministic(0.75),
         phases=((6, 20), (38, 60)), configuration=(0, 0, 6, 32), baseline_iterations=80), 1),
 }
 

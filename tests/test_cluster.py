@@ -21,6 +21,10 @@ class TestSeededRng:
         b = SeededRng(7).spawn(2).uniform_open_closed(10)
         assert not np.array_equal(a, b)
 
+    def test_negative_seed_is_refused_before_any_draw(self):
+        with pytest.raises(ValueError, match="invalid seed -1"):
+            SeededRng(-1)
+
     def test_uniforms_in_half_open_interval(self):
         u = SeededRng(0).uniform_open_closed(10000)
         assert np.all(u > 0.0) and np.all(u <= 1.0)

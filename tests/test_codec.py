@@ -414,6 +414,30 @@ class TestSupportProduct:
 
 
 class TestDecode:
+    # The (L, L/2) code of k_(L/2) = L, decoded from L/2 responders: every set
+    # for L <= 10, 400 sampled sets and the parity-only set beyond.  Over seeds
+    # 0-3 the worst relative error grows with the generator's conditioning,
+    # from about 5e-15 at L = 4 to 2e-6 at L = 16; from L = 14 on it already
+    # exceeds the benchmark's 1e-8 matvec gate (solver.matvec_rel_err_max).
+    @pytest.mark.parametrize("L,bound", [(4, 1e-13), (6, 1e-12), (8, 1e-11),
+                                         (10, 1e-9), (12, 3e-8), (16, 3e-5)])
+    def test_decode_error_bound_against_L(self, L, bound):
+        cfg = Configuration(L=L, n=4, k=tuple(L if i == L // 2 else 0
+                                              for i in range(1, L + 1)))
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((L, 30))
+        z = rng.standard_normal(30)
+        results = [worker_multiply(w, z) for w in encode_all(A, cfg)]
+        if L <= 10:
+            subsets = list(combinations(range(L), L // 2))
+        else:
+            subsets = [rng.choice(L, L // 2, replace=False) for _ in range(400)]
+            subsets.append(range(L // 2, L))  # workers L/2+1..L hold parity rows only
+        truth = A @ z
+        worst = max(np.abs(decode_prefix([results[i] for i in S], cfg) - truth).max()
+                    for S in subsets) / np.abs(truth).max()
+        assert worst <= bound
+
     def test_reference_example_pair_recovers_level_two(self):
         cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
         A = random_source(cfg, 7, 0)

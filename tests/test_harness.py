@@ -26,7 +26,7 @@ from codedseq.harness import (
     validate_experiment,
     write_trace_csv,
 )
-from codedseq.solver import RunTrace
+from codedseq.solver import RunTrace, SvdFactors
 
 FAST_CUSTOM = """
 [cluster]
@@ -120,7 +120,7 @@ class TestPresets:
         assert (cfg.L, cfg.n) == (4, 10)
         assert (cfg.rows, cfg.cols, cfg.rank) == (38, 500, 38)
         assert cfg.gamma == 5.0
-        assert cfg.latency_kind == "exponential" and cfg.latency_rate == 1.0
+        assert cfg.latency.kind == "exponential" and cfg.latency.rate == 1.0
         assert cfg.configuration == (0, 0, 6, 32)
         assert [rank for rank, _ in cfg.phases] == [6, 38]
 
@@ -433,7 +433,7 @@ class TestRunExperiment:
             text.replace("kind = exponential\nrate = 1.0", "kind = deterministic\nvalue = 0")
         )
         config = parse_config_file(custom_config_file)
-        assert config.latency_model() == LatencyModel.deterministic(0.0)
+        assert config.latency == LatencyModel.deterministic(0.0)
         summary = run_experiment(config, seed=7, replications=1,
                                  output=tmp_path / "trace.csv")
         assert summary.mean_time_sequential == summary.mean_time_baseline == 0.0
@@ -628,6 +628,94 @@ class TestParseConfig:
             source_path=str(npz), phases=((3, 5), (6, 20)), configuration=(3, 3))
         with pytest.raises(ValueError, match=f"source_path.*{message}"):
             validate_experiment(config)
+
+    @pytest.mark.parametrize("source", ["designed", "gaussian"])
+    def test_nan_gamma_is_decided_before_any_draw(self, source):
+        # a generated source builds its first LassoProblem only in replication 0
+        config = ExperimentConfig(label="nan", gamma=float("nan"), source=source,
+                                  phases=((6, 10), (38, 60)), configuration=(0, 0, 6, 32))
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0, got nan"):
+            validate_experiment(config)
+
+
+def fail_svd_at_call(monkeypatch, failing_call):
+    """Make SvdFactors.from_matrix raise LinAlgError at its failing_call-th
+    call (from 1), once per replication; return the list of calls made."""
+    calls, real = [], SvdFactors.from_matrix.__func__
+
+    def from_matrix(cls, F):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(cls, F)
+
+    monkeypatch.setattr(SvdFactors, "from_matrix", classmethod(from_matrix))
+    return calls
+
+
+def count_draws(monkeypatch):
+    """Count designed_problem calls, one per replication, and still draw."""
+    calls, real = [], harness_module.designed_problem
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "designed_problem", counting)
+    return calls
+
+
+class TestFailureOwnership:
+    def test_numerical_failure_in_a_run_is_a_runtime_error(
+        self, tmp_path, monkeypatch, custom_config_file
+    ):
+        # LinAlgError subclasses ValueError, but the input was already valid
+        fail_svd_at_call(monkeypatch, 1)
+        out = tmp_path / "trace.csv"
+        with pytest.raises(RuntimeError, match="SVD did not converge") as exc:
+            run_experiment(parse_config_file(custom_config_file), 0, 1, out)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+        assert not out.exists()
+
+    def test_linalg_error_in_replication_2_exits_3_without_output(
+        self, tmp_path, capsys, monkeypatch, custom_config_file
+    ):
+        calls = fail_svd_at_call(monkeypatch, 3)
+        out = tmp_path / "trace.csv"
+        out.write_text("earlier trace\n")
+        code = main(["experiment", "custom", "--config", str(custom_config_file),
+                     "--replications", "3", "--output", str(out)])
+        assert code == 3
+        assert "experiment failed: SVD did not converge" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert out.read_text() == "earlier trace\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_negative_seed_exits_2_before_any_replication(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        draws = count_draws(monkeypatch)
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "example1", "--seed", "-1", "--replications", "1",
+                     "--output", str(out)])
+        assert code == 2
+        assert "invalid seed -1" in capsys.readouterr().err
+        assert draws == []
+        assert not out.exists()
+
+    def test_missing_output_directory_exits_3_before_any_replication(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        draws = count_draws(monkeypatch)
+        out = tmp_path / "nodir" / "x.csv"
+        code = main(["experiment", "example1", "--replications", "2",
+                     "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"experiment failed: cannot write {out}" in err
+        assert "Traceback" not in err
+        assert draws == []
+        assert list(tmp_path.rglob("*")) == []
 
 
 class TestCli:

@@ -83,7 +83,7 @@ def reference_experiment(config, seed, replications):
     run_sequential arguments and the iterates of replication 0's sequential
     run."""
     schedule, baseline, draw = validate_experiment(config)
-    model = config.latency_model()
+    model = config.latency
     root = SeededRng(seed)
     trace = []
     for rep in range(replications):

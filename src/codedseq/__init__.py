@@ -28,6 +28,7 @@ from .codec import (
 from .feasibility import (
     Configuration,
     RowBudget,
+    auto_configuration,
     check_feasible,
     first_feasible,
     min_rows_oracle,

@@ -4,15 +4,16 @@ A cluster has L workers, each storing an encoded matrix of at most n rows.
 A configuration assigns k_i source rows to level i, with the contract that
 the first ell levels are recoverable from any ell responding workers.  This
 module answers which configurations fit: a closed-form per-level row budget,
-an aggregate capacity test, and an independent brute-force oracle that
-minimises the same row count by exhaustive search over integer allocations.
+an aggregate capacity test, an independent brute-force oracle that
+minimises the same row count by exhaustive search over integer allocations,
+and the one rule that places a schedule's rows (``auto_configuration``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Configuration",
@@ -21,6 +22,7 @@ __all__ = [
     "check_feasible",
     "min_rows_oracle",
     "first_feasible",
+    "auto_configuration",
 ]
 
 
@@ -177,9 +179,14 @@ def first_feasible(
     # inf when c already misses required[level - 1].
     least = [[]] * (L + 1) + [[math.inf] * R + [0]]
     for level in range(L, 0, -1):
-        cost = [row_count_s(level, k_i, L) for k_i in range(R + 1)]
+        # s_i(k_i + i) = s_i(k_i) + L, so k_i is a remainder r < i plus whole
+        # blocks, and whole[j] is the least cost of whole blocks from j on
+        whole = least[level + 1][:]
+        for j in range(R - level, -1, -1):
+            whole[j] = min(whole[j], L + whole[j + level])
+        part = [row_count_s(level, r, L) for r in range(level)]
         least[level] = [
-            min(cost[k_i] + least[level + 1][c + k_i] for k_i in range(R - c + 1))
+            min(part[r] + whole[c + r] for r in range(min(level, R - c + 1)))
             if c >= required[level - 1] else math.inf
             for c in range(R + 1)
         ]
@@ -195,3 +202,30 @@ def first_feasible(
                       if row_count_s(level, k_i, L) + least[level + 1][c + k_i] <= room))
         room -= row_count_s(level, k[-1], L)
     return Configuration(L=L, n=n, k=tuple(k))
+
+
+def auto_configuration(L: int, n: int, ranks: Sequence[int]) -> Configuration:
+    """The configuration ``k = auto`` picks for increasing phase ranks.
+
+    It takes the lexicographically first nondecreasing assignment of
+    responder counts to the ranks that some feasible configuration supports,
+    then the lexicographically first such k.  One rank is the exact scheme:
+    all its rows on the smallest level that holds them.  Raises ValueError
+    when no feasible configuration supports the ranks.
+    """
+    # Giving a phase more responders only moves its target to a later level,
+    # so feasibility never gets harder as an ell grows: fixing each phase's
+    # smallest workable ell in turn, later phases still at L, yields the
+    # lexicographically first feasible assignment.
+    ells = [L] * len(ranks)
+    found = first_feasible(L, n, ())
+    for idx in range(len(ranks)):
+        for e in range(ells[idx - 1] if idx else 1, L + 1):
+            ells[idx] = e
+            found = first_feasible(L, n, zip(ells, ranks))
+            if found is not None:
+                break
+        else:
+            raise ValueError(f"no feasible configuration supports phase ranks "
+                             f"{list(ranks)} on (L={L}, n={n})")
+    return found

@@ -13,14 +13,13 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .cluster import LatencyModel, SeededRng
-from .feasibility import Configuration, first_feasible
+from .feasibility import Configuration, auto_configuration
 from .problems import HIDDEN_MODE, designed_problem, gaussian_problem
 from .solver import (
     ApproxSchedule,
     LassoProblem,
     RunTrace,
     SvdFactors,
-    baseline_schedule,
     reference_solution,
     run_sequential,
 )
@@ -98,32 +97,11 @@ def make_preset(name: str) -> ExperimentConfig:
 
 
 def resolve_configuration(config: ExperimentConfig) -> Configuration:
-    """The explicit level counts, or an automatic feasible pick for 'auto'.
-
-    Automatic selection takes the lexicographically first nondecreasing
-    assignment of responder counts to the phase ranks that some feasible
-    configuration supports, then the lexicographically first such k.
-    """
+    """The explicit level counts, or feasibility.auto_configuration's pick
+    for the phase ranks when the config says 'auto'."""
     if config.configuration is not None:
         return Configuration(L=config.L, n=config.n, k=config.configuration)
-
-    L, n, ranks = config.L, config.n, [rank for rank, _ in config.phases]
-    # Giving a phase more responders only moves its target to a later level,
-    # so feasibility never gets harder as an ell grows: fixing each phase's
-    # smallest workable ell in turn, later phases still at L, yields the
-    # lexicographically first feasible assignment.
-    ells = [L] * len(ranks)
-    found = first_feasible(L, n, ())
-    for idx in range(len(ranks)):
-        for e in range(ells[idx - 1] if idx else 1, L + 1):
-            ells[idx] = e
-            found = first_feasible(L, n, zip(ells, ranks))
-            if found is not None:
-                break
-        else:
-            raise ValueError(f"no feasible configuration supports phase ranks "
-                             f"{ranks} on (L={L}, n={n})")
-    return found
+    return auto_configuration(config.L, config.n, [rank for rank, _ in config.phases])
 
 
 def validate_experiment(
@@ -191,8 +169,11 @@ def validate_experiment(
     schedule = ApproxSchedule.build(resolve_configuration(config), config.phases)
     if schedule.phases[-1].rank > config.rank:  # phase ranks increase
         raise ValueError("phase ranks exceed the problem rank")
-    baseline = baseline_schedule(
-        config.L, config.n, config.rank, config.baseline_iterations)
+    try:  # the exact scheme is the one-phase case of the same rule
+        exact = auto_configuration(config.L, config.n, [config.rank])
+    except ValueError as exc:
+        raise ValueError(f"baseline: {exc}") from None
+    baseline = ApproxSchedule.build(exact, [(config.rank, config.baseline_iterations)])
     return schedule, baseline, draw
 
 
@@ -394,9 +375,9 @@ def run_experiment(
     speedup estimate).  The summary is recomputed from the written file.
 
     A ValueError is invalid input, raised before the first replication, as
-    is an OSError naming ``output`` when its directory is missing.  A failure
-    during the run raises RuntimeError (a ValueError from the run, LinAlgError
-    included, is re-raised as one) or OSError.
+    is an OSError naming ``output`` when it is a directory or its directory
+    is missing.  A failure during the run raises RuntimeError (a ValueError
+    from the run, LinAlgError included, is re-raised as one) or OSError.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -405,6 +386,8 @@ def run_experiment(
     output = Path(output)
     if not output.parent.is_dir():
         raise FileNotFoundError(f"cannot write {output}: no directory {output.parent}")
+    if output.is_dir():
+        raise IsADirectoryError(f"cannot write {output}: it is a directory")
     runs: list[tuple[str, str, RunTrace]] = []
     try:
         for rep in range(replications):

@@ -34,7 +34,6 @@ __all__ = [
     "soft_threshold",
     "sequential_matvec",
     "run_sequential",
-    "baseline_schedule",
     "reference_solution",
     "optimality_residual",
     "subgradient_residual",
@@ -144,9 +143,6 @@ class SvdFactors:
     @property
     def rank(self) -> int:
         return int(self.sigma.shape[0])
-
-    def dense(self) -> np.ndarray:
-        return self.U @ (self.sigma[:, None] * self.V.T)
 
     def gradient_offset(self, b: np.ndarray, rank: int) -> np.ndarray:
         """F_(r)^T b for the rank-r truncation."""
@@ -354,25 +350,6 @@ def run_sequential(
                 trace.iterates[k] = x
             k += 1
     return trace
-
-
-def baseline_schedule(
-    L: int, n: int, rank: int, iterations: int
-) -> ApproxSchedule:
-    """Single-phase exact schedule on the cheapest single-level configuration.
-
-    Places all ``rank`` rows at the smallest level ell whose row budget fits,
-    so the per-iteration cost is T_(ell) with the least possible ell.
-    """
-    for ell in range(1, L + 1):
-        k = tuple(rank if i == ell else 0 for i in range(1, L + 1))
-        cfg = Configuration(L=L, n=n, k=k)
-        if check_feasible(cfg).feasible:
-            return ApproxSchedule(
-                config=cfg,
-                phases=(Phase(rank=rank, iterations=iterations, ell=ell),),
-            )
-    raise ValueError(f"no single-level configuration supports rank {rank} on (L={L}, n={n})")
 
 
 def subgradient_residual(g: np.ndarray, x: np.ndarray, gamma: float) -> float:

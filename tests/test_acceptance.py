@@ -16,6 +16,7 @@ from codedseq.cluster import LatencyModel, SeededRng, order_stat_mean, sample_ro
 from codedseq.codec import decode_prefix, encode_all, worker_multiply
 from codedseq.feasibility import (
     Configuration,
+    auto_configuration,
     check_feasible,
     min_rows_oracle,
     row_count_s,
@@ -23,8 +24,8 @@ from codedseq.feasibility import (
 from codedseq.harness import make_preset, read_trace_csv, run_experiment
 from codedseq.problems import designed_problem
 from codedseq.solver import (
+    ApproxSchedule,
     SvdFactors,
-    baseline_schedule,
     reference_solution,
     run_sequential,
     soft_threshold,
@@ -209,7 +210,8 @@ def test_criterion_7_solver_fidelity():
     x_star, residual = reference_solution(problem)
 
     # full-rank sequential run, all workers, fixed latency, vs in-memory ISTA
-    schedule = baseline_schedule(4, 10, svd.rank, 200)
+    schedule = ApproxSchedule.build(auto_configuration(4, 10, [svd.rank]),
+                                    [(svd.rank, 200)])
     trace = run_sequential(
         problem, schedule, LatencyModel.deterministic(1.0), 0,
         svd=svd, x_star=x_star, keep_iterates=True,
@@ -228,8 +230,6 @@ def test_criterion_7_solver_fidelity():
     # per-phase objective descent on a two-phase run
     preset = make_preset("example1")
     cfg = Configuration(L=4, n=10, k=preset.configuration)
-    from codedseq.solver import ApproxSchedule
-
     sched2 = ApproxSchedule.build(cfg, preset.phases)
     trace2 = run_sequential(
         problem, sched2, LatencyModel.exponential(1.0), 1,

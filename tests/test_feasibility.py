@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from codedseq.feasibility import (
     Configuration,
+    auto_configuration,
     check_feasible,
     first_feasible,
     min_rows_oracle,
@@ -170,3 +171,28 @@ class TestFeasibleConfigsBruteForce:
     def test_rank_above_capacity_yields_nothing(self):
         assert first_feasible(3, 2, [(3, 7)]) is None
         assert first_feasible(3, 2, [(3, 6)]) == Configuration(L=3, n=2, k=(0, 0, 6))
+
+
+def single_level(L, n, rank):
+    """All rank rows on the smallest level whose row budget holds them, by
+    check_feasible alone; None when no level does."""
+    for ell in range(1, L + 1):
+        cfg = Configuration(L=L, n=n, k=[rank if i == ell else 0 for i in range(1, L + 1)])
+        if check_feasible(cfg).feasible:
+            return cfg
+    return None
+
+
+class TestAutoConfiguration:
+    def test_one_phase_pick_is_the_smallest_single_level(self):
+        # the exact baseline is the one-phase case of k = auto; one rank past
+        # the capacity n*L fits nowhere
+        for L in range(1, 9):
+            for n in range(1, 13):
+                for rank in range(1, n * L + 2):
+                    want = single_level(L, n, rank)
+                    if want is None:
+                        with pytest.raises(ValueError, match=rf"ranks \[{rank}\]"):
+                            auto_configuration(L, n, [rank])
+                    else:
+                        assert auto_configuration(L, n, [rank]) == want, (L, n, rank)

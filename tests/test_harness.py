@@ -199,6 +199,33 @@ class TestAutoConfiguration:
         )
         assert resolve_configuration(cfg).k == (4, 0, 0, 8, 0, 12, 0, 16)
 
+    @pytest.mark.parametrize("L, n, ranks, k", [
+        (4, 200, (10, 800), (0, 0, 0, 800)),
+        (8, 100, (40, 400, 800), (0, 0, 0, 0, 0, 0, 0, 800)),
+    ])
+    def test_large_final_rank(self, L, n, ranks, k):
+        cfg = ExperimentConfig(label="big", L=L, n=n, phases=tuple((r, 5) for r in ranks),
+                               configuration=None)
+        assert resolve_configuration(cfg).k == k
+
+    @pytest.mark.parametrize("k", [(0, 0, 6, 32), None], ids=["explicit", "auto"])
+    def test_validation_resolves_the_schedule_once(self, monkeypatch, k):
+        # the baseline reaches k = auto through feasibility, so the harness
+        # entry the benchmark counts runs once per validation
+        calls, real = [], harness_module.resolve_configuration
+
+        def counting(config):
+            calls.append(config)
+            return real(config)
+
+        monkeypatch.setattr(harness_module, "resolve_configuration", counting)
+        config = ExperimentConfig(label="once", phases=((6, 30), (38, 400)),
+                                  configuration=k)
+        validate_experiment(config)
+        assert len(calls) == 1, (
+            f"validate_experiment called resolve_configuration {len(calls)} times, "
+            "expected once")
+
     def test_matches_exhaustive_assignment_scan(self):
         rng = random.Random(7)
         for _ in range(150):
@@ -717,6 +744,17 @@ class TestFailureOwnership:
         assert draws == []
         assert list(tmp_path.rglob("*")) == []
 
+        # an --output that is a directory is refused just as early
+        out = tmp_path / "adir"
+        out.mkdir()
+        code = main(["experiment", "example1", "--replications", "2",
+                     "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"experiment failed: cannot write {out}: it is a directory" in err
+        assert draws == []
+        assert list(tmp_path.rglob("*")) == [out]
+
 
 class TestCli:
     def test_feasible_ok(self, capsys):
@@ -842,7 +880,7 @@ class TestCli:
     def test_infeasible_baseline_exits_before_any_replication(
         self, tmp_path, capsys, monkeypatch
     ):
-        # k = auto fits phases 5 and 15 on n = 5, but no single level holds
+        # k = auto fits phases 5 and 15 on n = 5, but no configuration holds
         # the baseline's 38 rows
         def no_problem(*args, **kwargs):
             raise AssertionError("a problem was generated before validation ended")
@@ -855,7 +893,8 @@ class TestCli:
         out = tmp_path / "trace.csv"
         code = main(["experiment", "custom", "--config", str(ini), "--output", str(out)])
         assert code == 2
-        assert "no single-level configuration supports rank 38" in capsys.readouterr().err
+        assert ("baseline: no feasible configuration supports phase ranks [38]"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import codedseq.codec as codec_module
 import codedseq.solver as solver_module
 from codedseq.cluster import LatencyModel, SeededRng, simulate_wait
 from codedseq.codec import decode_prefix, worker_multiply
-from codedseq.feasibility import Configuration
+from codedseq.feasibility import Configuration, auto_configuration
 from codedseq.problems import designed_problem, gaussian_problem
 from codedseq.solver import (
     ApproxSchedule,
@@ -19,7 +19,6 @@ from codedseq.solver import (
     LassoProblem,
     Phase,
     SvdFactors,
-    baseline_schedule,
     optimality_residual,
     reference_solution,
     run_sequential,
@@ -122,7 +121,8 @@ def assert_factors_match_lapack(svd, F, tol):
     eye = np.eye(svd.rank)
     assert np.abs(svd.U.T @ svd.U - eye).max() <= tol
     assert np.abs(svd.V.T @ svd.V - eye).max() <= tol
-    assert np.abs(svd.dense() - F).max() <= tol * np.abs(F).max()
+    dense = svd.U @ (svd.sigma[:, None] * svd.V.T)
+    assert np.abs(dense - F).max() <= tol * np.abs(F).max()
     assert svd.V.flags.f_contiguous
 
 
@@ -580,11 +580,16 @@ class TestRunSequential:
         assert np.all(np.abs(sparse.suboptimality - dense.suboptimality) <= 1e-12)
 
 
+def exact_schedule(L, n, rank, iterations):
+    """The baseline: one exact phase on the one-phase ``k = auto`` pick."""
+    return ApproxSchedule.build(auto_configuration(L, n, [rank]), [(rank, iterations)])
+
+
 class TestBaseline:
     def test_uses_cheapest_single_level(self):
         problem, svd, cfg, _ = tiny_coded_setup(12)
         trace = run_sequential(
-            problem, baseline_schedule(3, 3, svd.rank, 5),
+            problem, exact_schedule(3, 3, svd.rank, 5),
             LatencyModel.deterministic(1.0), 0, svd=svd, x_star=np.zeros(15),
         )
         # rank 6 on (L=3, n=3) needs all three workers: cost 1.0 each round
@@ -595,7 +600,7 @@ class TestBaseline:
         rng = SeededRng(79)
         problem = designed_problem(rng).problem
         trace = run_sequential(
-            problem, baseline_schedule(4, 10, 38, 3),
+            problem, exact_schedule(4, 10, 38, 3),
             LatencyModel.deterministic(1.0), 0, x_star=np.zeros(500),
         )
         assert len(trace) == 3
@@ -604,7 +609,7 @@ class TestBaseline:
 
     def test_same_seed_identical(self):
         problem, svd, cfg, _ = tiny_coded_setup(13)
-        schedule = baseline_schedule(3, 3, svd.rank, 4)
+        schedule = exact_schedule(3, 3, svd.rank, 4)
         a = run_sequential(problem, schedule, LatencyModel.exponential(1.0), 9,
                            svd=svd, x_star=np.zeros(15))
         b = run_sequential(problem, schedule, LatencyModel.exponential(1.0), 9,
@@ -619,7 +624,7 @@ class TestBaseline:
         rng = SeededRng(80)
         problem = designed_problem(rng).problem
         trace = run_sequential(
-            problem, baseline_schedule(4, 10, 38, 800),
+            problem, exact_schedule(4, 10, 38, 800),
             LatencyModel.exponential(1.0), 17, x_star=np.zeros(500),
         )
         times = trace.iter_time

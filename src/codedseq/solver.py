@@ -165,9 +165,19 @@ class Phase:
     ell: int
 
 
+def _least_responders(h: tuple[int, ...], rank: int) -> int:
+    """The fewest responders whose cumulative rank h_ell covers ``rank``."""
+    for ell, covered in enumerate(h, start=1):
+        if covered >= rank:
+            return ell
+    raise ValueError(f"no responder count reaches rank {rank} (cumulative ranks {h})")
+
+
 @dataclass(frozen=True)
 class ApproxSchedule:
-    """The R phases of a sequential-approximation run over one configuration."""
+    """The R phases of a sequential-approximation run over one configuration;
+    phase r's ell is the least responder count whose cumulative rank covers
+    its rank, and the exact scheme is the one-phase case."""
 
     config: Configuration
     phases: tuple[Phase, ...]
@@ -178,39 +188,30 @@ class ApproxSchedule:
         if not check_feasible(self.config).feasible:
             raise ValueError(f"configuration {self.config.k} is infeasible")
         h = self.config.cumulative_ranks()
-        prev_rank, prev_ell = 0, 0
+        prev_rank = 0
         for p in self.phases:
             if p.iterations < 1:
                 raise ValueError(f"phase iteration count must be >= 1, got {p}")
             if p.rank <= prev_rank:
                 raise ValueError(f"phase ranks must strictly increase, got {p}")
-            if p.ell < prev_ell:
-                raise ValueError(f"responder counts must not decrease, got {p}")
-            if not 1 <= p.ell <= self.config.L:
-                raise ValueError(f"ell={p.ell} outside 1..{self.config.L}")
-            if h[p.ell - 1] < p.rank:
+            ell = _least_responders(h, p.rank)
+            if p.ell != ell:
                 raise ValueError(
-                    f"phase rank {p.rank} unreachable with ell={p.ell} "
-                    f"(cumulative ranks {h})"
+                    f"{p}: ell must be {ell}, the least responder count whose "
+                    f"cumulative rank covers rank {p.rank} (cumulative ranks {h})"
                 )
-            prev_rank, prev_ell = p.rank, p.ell
+            prev_rank = p.rank
 
     @classmethod
     def build(
         cls, config: Configuration, phase_specs: Sequence[tuple[int, int]]
     ) -> "ApproxSchedule":
-        """Schedule from (rank, iterations) pairs; each phase's ell is the
-        smallest responder count whose cumulative rank covers its rank."""
+        """Schedule from (rank, iterations) pairs, each phase's ell by the rule."""
         h = config.cumulative_ranks()
-        phases = []
-        for rank, iters in phase_specs:
-            ell = next((i + 1 for i, hv in enumerate(h) if hv >= rank), 0)
-            if ell == 0:
-                raise ValueError(
-                    f"no responder count reaches rank {rank} (cumulative ranks {h})"
-                )
-            phases.append(Phase(rank=rank, iterations=iters, ell=ell))
-        return cls(config=config, phases=tuple(phases))
+        return cls(config=config, phases=tuple(
+            Phase(rank=rank, iterations=iters, ell=_least_responders(h, rank))
+            for rank, iters in phase_specs
+        ))
 
 
 @dataclass(frozen=True)
@@ -282,23 +283,23 @@ class RunTrace:
         return np.cumsum(self.iter_time)
 
 
-def _as_rng(seed: "int | SeededRng") -> SeededRng:
-    return seed if isinstance(seed, SeededRng) else SeededRng(int(seed))
-
-
 def run_sequential(
     problem: LassoProblem,
     schedule: ApproxSchedule,
     model: LatencyModel,
-    seed: "int | SeededRng",
+    rng: SeededRng,
     *,
-    svd: SvdFactors | None = None,
-    x_star: np.ndarray | None = None,
+    svd: SvdFactors,
+    x_star: np.ndarray,
     charge_second_round: bool = False,
     keep_iterates: bool = False,
 ) -> RunTrace:
     """Run the phased solver through the coded cluster simulation.
 
+    The caller owns the stream ``rng``, the factors ``svd`` of problem.F and
+    the optimum ``x_star``: run_experiment spawns ``(rep, 1)`` and ``(rep, 2)``
+    and computes the factors and x* once per replication.  Phase r waits for
+    ell(r) workers, the least count whose cumulative rank covers its rank.
     The iterate carries over at phase boundaries.  Every phase uses the step
     1/sigma_1(F)^2 (a truncation keeps the top singular value) and phase r
     the truncated offset F_(r)^T b, so each phase is plain ISTA on the rank-r
@@ -309,13 +310,9 @@ def run_sequential(
     after another from one stream, ``rng.spawn(p, 0)``, and its transpose
     rounds from ``rng.spawn(p, 1)``.
     """
-    svd = svd if svd is not None else SvdFactors.from_matrix(problem.F)
-    if x_star is None:
-        x_star, _ = reference_solution(problem, svd=svd)
     x_norm = float(np.linalg.norm(x_star))
     denom = x_norm if x_norm > 0 else 1.0
     system = CodedMatvecSystem.setup(svd, schedule.config)
-    rng = _as_rng(seed)
 
     lengths = tuple(phase.iterations for phase in schedule.phases)
     total = sum(lengths)

@@ -136,10 +136,10 @@ def test_criterion_4_order_statistic_means():
     two_dp_ok = [round(v, 2) for v in analytic] == [0.25, 0.58, 1.08, 2.08]
 
     n = 100_000
-    root = SeededRng(777)
+    clock = SeededRng(777)  # one stream, drawn round after round as a phase clock is
     samples = np.empty((n, 4))
     for r in range(n):
-        samples[r] = np.sort(sample_round(model, 4, root.spawn(r)))
+        samples[r] = np.sort(sample_round(model, 4, clock))
     mc_ok = True
     details = [f"analytic {np.round(analytic, 4).tolist()}"]
     for ell in range(1, 5):
@@ -213,7 +213,7 @@ def test_criterion_7_solver_fidelity():
     schedule = ApproxSchedule.build(auto_configuration(4, 10, [svd.rank]),
                                     [(svd.rank, 200)])
     trace = run_sequential(
-        problem, schedule, LatencyModel.deterministic(1.0), 0,
+        problem, schedule, LatencyModel.deterministic(1.0), SeededRng(0),
         svd=svd, x_star=x_star, keep_iterates=True,
     )
     t = 1.0 / svd.sigma[0] ** 2
@@ -232,7 +232,7 @@ def test_criterion_7_solver_fidelity():
     cfg = Configuration(L=4, n=10, k=preset.configuration)
     sched2 = ApproxSchedule.build(cfg, preset.phases)
     trace2 = run_sequential(
-        problem, sched2, LatencyModel.exponential(1.0), 1,
+        problem, sched2, LatencyModel.exponential(1.0), SeededRng(1),
         svd=svd, x_star=x_star, keep_iterates=True,
     )
     monotone = True

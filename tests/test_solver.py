@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import spectral_norm_power, truncated_dense
+from conftest import WIDE8_INI, spectral_norm_power, truncated_dense
 
 import codedseq.codec as codec_module
 import codedseq.solver as solver_module
 from codedseq.cluster import LatencyModel, SeededRng, simulate_wait
 from codedseq.codec import decode_prefix, worker_multiply
 from codedseq.feasibility import Configuration, auto_configuration
+from codedseq.harness import make_preset, parse_config_file, resolve_configuration
 from codedseq.problems import designed_problem, gaussian_problem
 from codedseq.solver import (
     ApproxSchedule,
@@ -247,9 +248,10 @@ class TestSchedule:
                 config=cfg, phases=(Phase(rank=10, iterations=5, ell=3),)
             )
 
-    def test_rejects_decreasing_ell(self):
+    def test_rejects_ell_above_the_least_covering_count(self):
+        # rank 5 is covered by h_1 = 5, so ell = 2 breaks the rule
         cfg = Configuration(L=4, n=10, k=(5, 10, 0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ell must be 1, the least responder count"):
             ApproxSchedule(
                 config=cfg,
                 phases=(
@@ -257,6 +259,21 @@ class TestSchedule:
                     Phase(rank=15, iterations=5, ell=1),
                 ),
             )
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "wide8"])
+    def test_ell_is_the_least_covering_count(self, name):
+        config = (parse_config_file(WIDE8_INI) if name == "wide8"
+                  else make_preset(name))
+        cfg = resolve_configuration(config)
+        covering = [sum(cfg.k[:ell]) for ell in range(1, cfg.L + 1)]
+        for rank in range(1, covering[-1] + 1):
+            least = min(ell for ell in range(1, cfg.L + 1) if covering[ell - 1] >= rank)
+            sched = ApproxSchedule.build(cfg, [(rank, 1)])
+            assert sched.phases == (Phase(rank=rank, iterations=1, ell=least),)
+            for ell in (least - 1, least + 1):
+                with pytest.raises(ValueError, match="least responder count whose "
+                                   "cumulative rank covers"):
+                    ApproxSchedule(config=cfg, phases=(Phase(rank=rank, iterations=1, ell=ell),))
 
 
 def tiny_coded_setup(seed=0):
@@ -378,7 +395,7 @@ class TestRunSequential:
             config=cfg, phases=(Phase(rank=6, iterations=50, ell=3),)
         )
         trace = run_sequential(
-            problem, sched, LatencyModel.deterministic(1.0), 0,
+            problem, sched, LatencyModel.deterministic(1.0), SeededRng(0),
             svd=svd, x_star=np.zeros(15), keep_iterates=True,
         )
         ref = ista_reference_iterates(problem, 50)
@@ -393,7 +410,7 @@ class TestRunSequential:
             config=cfg, phases=(Phase(rank=6, iterations=10, ell=3),)
         )
         trace = run_sequential(
-            problem, sched, LatencyModel.deterministic(0.7), 1,
+            problem, sched, LatencyModel.deterministic(0.7), SeededRng(1),
             svd=svd, x_star=np.zeros(15),
         )
         assert np.all(trace.iter_time == 0.7)
@@ -406,8 +423,8 @@ class TestRunSequential:
             phases=(Phase(rank=3, iterations=5, ell=2), Phase(rank=6, iterations=5, ell=3)),
         )
         kwargs = dict(svd=svd, x_star=np.zeros(15))
-        t1 = run_sequential(problem, sched, LatencyModel.exponential(1.0), 5, **kwargs)
-        t2 = run_sequential(problem, sched, LatencyModel.exponential(1.0), 5, **kwargs)
+        t1 = run_sequential(problem, sched, LatencyModel.exponential(1.0), SeededRng(5), **kwargs)
+        t2 = run_sequential(problem, sched, LatencyModel.exponential(1.0), SeededRng(5), **kwargs)
         assert_same_columns(t1, t2)
 
     def test_record_count_and_cum_time(self):
@@ -417,7 +434,7 @@ class TestRunSequential:
             phases=(Phase(rank=3, iterations=4, ell=2), Phase(rank=6, iterations=3, ell=3)),
         )
         trace = run_sequential(
-            problem, sched, LatencyModel.exponential(1.0), 2,
+            problem, sched, LatencyModel.exponential(1.0), SeededRng(2),
             svd=svd, x_star=np.zeros(15),
         )
         assert len(trace) == 7
@@ -436,11 +453,11 @@ class TestRunSequential:
             config=cfg, phases=(Phase(rank=6, iterations=6, ell=3),)
         )
         one = run_sequential(
-            problem, sched, LatencyModel.deterministic(1.0), 0,
+            problem, sched, LatencyModel.deterministic(1.0), SeededRng(0),
             svd=svd, x_star=np.zeros(15),
         )
         two = run_sequential(
-            problem, sched, LatencyModel.deterministic(1.0), 0,
+            problem, sched, LatencyModel.deterministic(1.0), SeededRng(0),
             svd=svd, x_star=np.zeros(15), charge_second_round=True,
         )
         assert float(two.cum_time[-1]) == pytest.approx(2 * float(one.cum_time[-1]))
@@ -496,7 +513,7 @@ class TestRunSequential:
         cfg = Configuration(L=3, n=7, k=(3, 4, 5))
         sched = ApproxSchedule.build(cfg, [(3, 25), (12, 25)])
         trace = run_sequential(
-            problem, sched, LatencyModel.exponential(1.0), 3,
+            problem, sched, LatencyModel.exponential(1.0), SeededRng(3),
             svd=svd, x_star=designed.planted_optimum, keep_iterates=True,
         )
         for phase in sched.phases:
@@ -522,7 +539,7 @@ class TestRunSequential:
             config=cfg, phases=(Phase(rank=4, iterations=3000, ell=1),)
         )
         trace = run_sequential(
-            problem, sched, LatencyModel.deterministic(1.0), 0,
+            problem, sched, LatencyModel.deterministic(1.0), SeededRng(0),
             svd=svd, x_star=designed.planted_optimum, keep_iterates=True,
         )
         x = trace.iterates[-1]
@@ -538,8 +555,9 @@ class TestRunSequential:
         x_star = designed.planted_optimum if planted else np.zeros(60)
         sched = ApproxSchedule.build(Configuration(L=3, n=7, k=(3, 4, 5)), [(3, 20), (12, 30)])
         trace = run_sequential(
-            designed.problem, sched, LatencyModel.exponential(1.0), 4,
-            x_star=x_star, keep_iterates=True,
+            designed.problem, sched, LatencyModel.exponential(1.0), SeededRng(4),
+            svd=SvdFactors.from_matrix(designed.problem.F), x_star=x_star,
+            keep_iterates=True,
         )
         denom = float(np.linalg.norm(x_star)) if planted else 1.0
         want = [float(np.linalg.norm(x - x_star)) / denom for x in trace.iterates]
@@ -590,7 +608,7 @@ class TestBaseline:
         problem, svd, cfg, _ = tiny_coded_setup(12)
         trace = run_sequential(
             problem, exact_schedule(3, 3, svd.rank, 5),
-            LatencyModel.deterministic(1.0), 0, svd=svd, x_star=np.zeros(15),
+            LatencyModel.deterministic(1.0), SeededRng(0), svd=svd, x_star=np.zeros(15),
         )
         # rank 6 on (L=3, n=3) needs all three workers: cost 1.0 each round
         assert trace.iter_time[0] == 1.0
@@ -600,8 +618,8 @@ class TestBaseline:
         rng = SeededRng(79)
         problem = designed_problem(rng).problem
         trace = run_sequential(
-            problem, exact_schedule(4, 10, 38, 3),
-            LatencyModel.deterministic(1.0), 0, x_star=np.zeros(500),
+            problem, exact_schedule(4, 10, 38, 3), LatencyModel.deterministic(1.0),
+            SeededRng(0), svd=SvdFactors.from_matrix(problem.F), x_star=np.zeros(500),
         )
         assert len(trace) == 3
         # (0,0,0,38) is feasible on (4,10), so ell*=4 and the run exists
@@ -610,9 +628,9 @@ class TestBaseline:
     def test_same_seed_identical(self):
         problem, svd, cfg, _ = tiny_coded_setup(13)
         schedule = exact_schedule(3, 3, svd.rank, 4)
-        a = run_sequential(problem, schedule, LatencyModel.exponential(1.0), 9,
+        a = run_sequential(problem, schedule, LatencyModel.exponential(1.0), SeededRng(9),
                            svd=svd, x_star=np.zeros(15))
-        b = run_sequential(problem, schedule, LatencyModel.exponential(1.0), 9,
+        b = run_sequential(problem, schedule, LatencyModel.exponential(1.0), SeededRng(9),
                            svd=svd, x_star=np.zeros(15))
         assert_same_columns(a, b)
 
@@ -624,8 +642,8 @@ class TestBaseline:
         rng = SeededRng(80)
         problem = designed_problem(rng).problem
         trace = run_sequential(
-            problem, exact_schedule(4, 10, 38, 800),
-            LatencyModel.exponential(1.0), 17, x_star=np.zeros(500),
+            problem, exact_schedule(4, 10, 38, 800), LatencyModel.exponential(1.0),
+            SeededRng(17), svd=SvdFactors.from_matrix(problem.F), x_star=np.zeros(500),
         )
         times = trace.iter_time
         expected = order_stat_mean(LatencyModel.exponential(1.0), 4, 4)

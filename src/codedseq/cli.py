@@ -88,7 +88,7 @@ def _cmd_demo_encode(args) -> int:
     checked = 0
     for ell in range(1, cfg.L + 1):
         for subset in combinations(range(cfg.L), ell):
-            decoded = decode_prefix([results[i] for i in subset], cfg)
+            decoded = decode_prefix([results[i] for i in subset])
             for a, b in zip(h, h[1 : ell + 1]):
                 block, truth = decoded[a:b], A[a:b] @ z
                 denom = max(1.0, float(np.abs(truth).max()) if truth.size else 1.0)

@@ -256,8 +256,9 @@ def worker_multiply(worker: WorkerMatrix, z: np.ndarray) -> WorkerResult:
     )
 
 
-def decode_prefix(results: Sequence[WorkerResult], cfg: Configuration) -> np.ndarray:
-    """The first h_ell entries of A z from the results of ell distinct workers.
+def decode_prefix(results: Sequence[WorkerResult]) -> np.ndarray:
+    """The first h_ell entries of A z from the results of ell distinct workers,
+    all placed by one layout: the one their results carry.
 
     They are one multiplication of the concatenated results by the responder
     set's cached decode matrix (``Layout.decoder``).
@@ -265,20 +266,20 @@ def decode_prefix(results: Sequence[WorkerResult], cfg: Configuration) -> np.nda
     ell = len(results)
     if ell == 0:
         raise ValueError("need at least one worker result")
-    if ell > cfg.L:
-        raise ValueError(f"got {ell} results for a cluster of {cfg.L} workers")
+    layout = results[0].layout
+    starts = layout.starts
+    L = len(starts) - 1  # worker w stores rows starts[w-1]:starts[w]
+    if ell > L:
+        raise ValueError(f"got {ell} results for a cluster of {L} workers")
     results = sorted(results, key=attrgetter("worker_id"))
     ids = tuple(r.worker_id for r in results)  # ascending
     if len(set(ids)) != ell:
         raise ValueError(f"worker results must come from distinct workers, got {ids}")
-    if not 1 <= ids[0] <= ids[-1] <= cfg.L:
-        raise ValueError(f"worker ids must lie in 1..{cfg.L}, got {ids}")
-
-    layout = make_layout(cfg)
-    starts = layout.starts
+    if not 1 <= ids[0] <= ids[-1] <= L:
+        raise ValueError(f"worker ids must lie in 1..{L}, got {ids}")
     for res in results:
         # make_layout keeps one layout per configuration for the life of the
-        # process, so a result of this configuration carries this very object
+        # process, so results of one configuration carry this very object
         w = res.worker_id
         if res.layout is not layout or len(res.y) != starts[w] - starts[w - 1]:
             raise InsufficientResults(

@@ -166,23 +166,26 @@ def validate_experiment(
             f"source {config.source!r} gives rank {full_rank}, "
             f"the config says {config.rank}"
         )
-    schedule = ApproxSchedule.build(resolve_configuration(config), config.phases)
+    schedule = ApproxSchedule(resolve_configuration(config), config.phases)
     if schedule.phases[-1].rank > config.rank:  # phase ranks increase
         raise ValueError("phase ranks exceed the problem rank")
     try:  # the exact scheme is the one-phase case of the same rule
         exact = auto_configuration(config.L, config.n, [config.rank])
     except ValueError as exc:
         raise ValueError(f"baseline: {exc}") from None
-    baseline = ApproxSchedule.build(exact, [(config.rank, config.baseline_iterations)])
+    baseline = ApproxSchedule(exact, [(config.rank, config.baseline_iterations)])
     return schedule, baseline, draw
 
 
 def _load_source(path: str) -> tuple[np.ndarray, np.ndarray]:
     """F and b from an .npz archive; any defect raises ValueError."""
     try:
-        with np.load(path) as data:  # a lone .npy array is no context manager
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"expected an .npz archive, got a {type(data).__name__}")
+        with data:
             F, b = data["F"], data["b"]
-    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ValueError(f"cannot read F and b from source_path {path!r}: {exc}") from exc
     for name, array in (("F", F), ("b", b)):
         if array.dtype.kind not in "iuf":

@@ -9,7 +9,7 @@ inner products, finish the product user-side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -175,58 +175,46 @@ def _least_responders(h: tuple[int, ...], rank: int) -> int:
 
 @dataclass(frozen=True)
 class ApproxSchedule:
-    """The R phases of a sequential-approximation run over one configuration;
-    phase r's ell is the least responder count whose cumulative rank covers
-    its rank, and the exact scheme is the one-phase case."""
+    """The R phases of a sequential-approximation run over one configuration,
+    from (rank, iterations) pairs; phase r's ell is the least responder count
+    whose cumulative rank covers its rank, and the exact scheme is the
+    one-phase case."""
 
     config: Configuration
-    phases: tuple[Phase, ...]
+    phase_specs: InitVar[Sequence[tuple[int, int]]]
+    phases: tuple[Phase, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        if not self.phases:
+    def __post_init__(self, phase_specs: Sequence[tuple[int, int]]) -> None:
+        if not phase_specs:
             raise ValueError("schedule needs at least one phase")
         if not check_feasible(self.config).feasible:
             raise ValueError(f"configuration {self.config.k} is infeasible")
         h = self.config.cumulative_ranks()
+        phases = []
         prev_rank = 0
-        for p in self.phases:
-            if p.iterations < 1:
-                raise ValueError(f"phase iteration count must be >= 1, got {p}")
-            if p.rank <= prev_rank:
-                raise ValueError(f"phase ranks must strictly increase, got {p}")
-            ell = _least_responders(h, p.rank)
-            if p.ell != ell:
-                raise ValueError(
-                    f"{p}: ell must be {ell}, the least responder count whose "
-                    f"cumulative rank covers rank {p.rank} (cumulative ranks {h})"
-                )
-            prev_rank = p.rank
-
-    @classmethod
-    def build(
-        cls, config: Configuration, phase_specs: Sequence[tuple[int, int]]
-    ) -> "ApproxSchedule":
-        """Schedule from (rank, iterations) pairs, each phase's ell by the rule."""
-        h = config.cumulative_ranks()
-        return cls(config=config, phases=tuple(
-            Phase(rank=rank, iterations=iters, ell=_least_responders(h, rank))
-            for rank, iters in phase_specs
-        ))
+        for rank, iterations in phase_specs:
+            if iterations < 1:
+                raise ValueError(f"phase iteration count must be >= 1, got {rank, iterations}")
+            if rank <= prev_rank:
+                raise ValueError(f"phase ranks must strictly increase, got {rank, iterations}")
+            phases.append(Phase(rank, iterations, _least_responders(h, rank)))
+            prev_rank = rank
+        object.__setattr__(self, "phases", tuple(phases))
 
 
 @dataclass(frozen=True)
 class CodedMatvecSystem:
-    """Immutable encoded system shared by all phases of a run."""
+    """Immutable encoded system shared by all phases of a run: the workers
+    hold the coded rows v_1 .. v_(h_L) of ``svd``, in decreasing order of
+    sigma, placed by the configuration's layout."""
 
     config: Configuration
     svd: SvdFactors
-    workers: tuple[WorkerMatrix, ...]
+    workers: tuple[WorkerMatrix, ...] = field(init=False)
 
-    @classmethod
-    def setup(cls, svd: SvdFactors, config: Configuration) -> "CodedMatvecSystem":
-        # the source rows are v_1 .. v_(h_L), in decreasing order of sigma
-        workers = tuple(encode_all(svd.V[:, : sum(config.k)].T, config))
-        return cls(config=config, svd=svd, workers=workers)
+    def __post_init__(self) -> None:
+        workers = encode_all(self.svd.V[:, : sum(self.config.k)].T, self.config)
+        object.__setattr__(self, "workers", tuple(workers))
 
 
 def sequential_matvec(
@@ -246,7 +234,7 @@ def sequential_matvec(
     results = [
         worker_multiply(system.workers[w - 1], x) for w in responders
     ]
-    t = decode_prefix(results, system.config)
+    t = decode_prefix(results)
     if t.shape[0] < phase.rank:
         raise RuntimeError(
             f"decoded {t.shape[0]} components, phase needs {phase.rank}"
@@ -312,7 +300,7 @@ def run_sequential(
     """
     x_norm = float(np.linalg.norm(x_star))
     denom = x_norm if x_norm > 0 else 1.0
-    system = CodedMatvecSystem.setup(svd, schedule.config)
+    system = CodedMatvecSystem(schedule.config, svd)
 
     lengths = tuple(phase.iterations for phase in schedule.phases)
     total = sum(lengths)
@@ -369,7 +357,7 @@ def optimality_residual(problem: LassoProblem, x: np.ndarray) -> float:
 def reference_solution(
     problem: LassoProblem,
     *,
-    svd: SvdFactors | None = None,
+    svd: SvdFactors,
     max_iter: int = 10**6,
     check_every: int = 50,
 ) -> tuple[np.ndarray, float]:
@@ -385,8 +373,7 @@ def reference_solution(
     (F_S^T F_S) z = F_S^T b - gamma s, zero elsewhere.
     That point is returned only if it passes the same residual test; if not
     (wrong support, singular F_S^T F_S), the iteration goes on.
-    The step is 1/sigma_max(F)^2, read from ``svd`` when the caller holds
-    the factors of F and from ``SvdFactors.from_matrix(F)`` otherwise.
+    The step is 1/sigma_max(F)^2, read from the caller's factors ``svd`` of F.
     Rounding keeps the computed residual of even the exact optimum near
     eps * ||F^T b||_inf: up to 11 times that for the planted optimum of
     designed 38 x 500 and 150 x 5000 instances with gamma 1e6 and 1e9.  So
@@ -395,7 +382,6 @@ def reference_solution(
     Returns (x_star, residual).  Raises if the cap is hit first.
     """
     F, b, gamma = problem.F, problem.b, problem.gamma
-    svd = svd if svd is not None else SvdFactors.from_matrix(F)
     if not svd.rank:
         return np.zeros(problem.cols), 0.0
     t = 1.0 / float(svd.sigma[0]) ** 2

@@ -54,7 +54,7 @@ def roundtrip_error(cfg: Configuration, m: int, seed: int) -> float:
     worst = 0.0
     for ell in range(1, cfg.L + 1):
         for subset in combinations(range(cfg.L), ell):
-            decoded = decode_prefix([results[i] for i in subset], cfg)
+            decoded = decode_prefix([results[i] for i in subset])
             for a, b in zip(h, h[1 : ell + 1]):
                 block, truth = decoded[a:b], A[a:b] @ z
                 if truth.size:
@@ -207,11 +207,10 @@ def test_criterion_7_solver_fidelity():
     designed = designed_problem(SeededRng(99))
     problem = designed.problem
     svd = SvdFactors.from_matrix(problem.F)
-    x_star, residual = reference_solution(problem)
+    x_star, residual = reference_solution(problem, svd=svd)
 
     # full-rank sequential run, all workers, fixed latency, vs in-memory ISTA
-    schedule = ApproxSchedule.build(auto_configuration(4, 10, [svd.rank]),
-                                    [(svd.rank, 200)])
+    schedule = ApproxSchedule(auto_configuration(4, 10, [svd.rank]), [(svd.rank, 200)])
     trace = run_sequential(
         problem, schedule, LatencyModel.deterministic(1.0), SeededRng(0),
         svd=svd, x_star=x_star, keep_iterates=True,
@@ -230,7 +229,7 @@ def test_criterion_7_solver_fidelity():
     # per-phase objective descent on a two-phase run
     preset = make_preset("example1")
     cfg = Configuration(L=4, n=10, k=preset.configuration)
-    sched2 = ApproxSchedule.build(cfg, preset.phases)
+    sched2 = ApproxSchedule(cfg, preset.phases)
     trace2 = run_sequential(
         problem, sched2, LatencyModel.exponential(1.0), SeededRng(1),
         svd=svd, x_star=x_star, keep_iterates=True,

@@ -41,7 +41,7 @@ def roundtrip_max_error(cfg, m=10, seed=0):
     worst = 0.0
     for ell in range(1, cfg.L + 1):
         for subset in combinations(range(cfg.L), ell):
-            decoded = decode_prefix([results[i] for i in subset], cfg)
+            decoded = decode_prefix([results[i] for i in subset])
             assert decoded.shape == (cfg.cumulative_ranks()[ell - 1],)
             for a, b in level_bounds(cfg)[:ell]:
                 block, truth = decoded[a:b], A[a:b] @ z
@@ -147,9 +147,9 @@ class TestLayout:
         layout = make_layout(cfg)
         layout.decoders.clear()
         z = np.random.default_rng(3).standard_normal(7)
-        decode_prefix([worker_multiply(workers[i], z) for i in (3, 1)], cfg)
+        decode_prefix([worker_multiply(workers[i], z) for i in (3, 1)])
         first = layout.decoders[(2, 4)]
-        decode_prefix([worker_multiply(workers[i], z) for i in (1, 3)], cfg)
+        decode_prefix([worker_multiply(workers[i], z) for i in (1, 3)])
         assert list(layout.decoders) == [(2, 4)]
         assert layout.decoders[(2, 4)] is first
 
@@ -407,7 +407,7 @@ class TestSupportProduct:
             assert rows.gathered
             assert_close(np.asarray(res.y), w.rows @ z)
             results.append(res)
-        decoded = decode_prefix(results, cfg)
+        decoded = decode_prefix(results)
         for a, b in level_bounds(cfg):
             if b > a:
                 assert_close(decoded[a:b], A[a:b] @ z, rtol=1e-10)
@@ -434,7 +434,7 @@ class TestDecode:
             subsets = [rng.choice(L, L // 2, replace=False) for _ in range(400)]
             subsets.append(range(L // 2, L))  # workers L/2+1..L hold parity rows only
         truth = A @ z
-        worst = max(np.abs(decode_prefix([results[i] for i in S], cfg) - truth).max()
+        worst = max(np.abs(decode_prefix([results[i] for i in S]) - truth).max()
                     for S in subsets) / np.abs(truth).max()
         assert worst <= bound
 
@@ -444,7 +444,7 @@ class TestDecode:
         workers = encode_all(A, cfg)
         z = np.random.default_rng(9).standard_normal(7)
         results = [worker_multiply(w, z) for w in workers]
-        decoded = decode_prefix([results[2], results[3]], cfg)
+        decoded = decode_prefix([results[2], results[3]])
         assert decoded.shape == (3,)  # level 1 is empty, level 2 is rows 0..2
         np.testing.assert_allclose(decoded, A[:3] @ z, atol=1e-10)
 
@@ -453,7 +453,7 @@ class TestDecode:
         A = random_source(cfg, 7, 0)
         workers = encode_all(A, cfg)
         z = np.random.default_rng(11).standard_normal(7)
-        decoded = decode_prefix([worker_multiply(w, z) for w in workers], cfg)
+        decoded = decode_prefix([worker_multiply(w, z) for w in workers])
         for a, b in level_bounds(cfg)[1:]:
             np.testing.assert_allclose(decoded[a:b], A[a:b] @ z, atol=1e-9)
 
@@ -495,7 +495,7 @@ class TestDecode:
             for subset in combinations(range(cfg.L), ell):
                 picked = [results[i] for i in subset]
                 np.testing.assert_allclose(
-                    decode_prefix(picked, cfg), np.concatenate(pool_decode(picked, cfg)),
+                    decode_prefix(picked), np.concatenate(pool_decode(picked, cfg)),
                     rtol=1e-12, atol=1e-12,
                 )
 
@@ -506,7 +506,7 @@ class TestDecode:
         results = [worker_multiply(w, z) for w in workers]
         outs = []
         for subset in combinations(range(4), 2):
-            outs.append(decode_prefix([results[i] for i in subset], cfg))
+            outs.append(decode_prefix([results[i] for i in subset]))
         for other in outs[1:]:
             np.testing.assert_allclose(outs[0], other, rtol=1e-8, atol=1e-10)
 
@@ -517,11 +517,9 @@ class TestDecode:
         z1, z2 = rng.standard_normal(6), rng.standard_normal(6)
         alpha = 1.7
         subset = [workers[0], workers[2]]
-        dec_comb = decode_prefix(
-            [worker_multiply(w, alpha * z1 + z2) for w in subset], cfg
-        )
-        dec1 = decode_prefix([worker_multiply(w, z1) for w in subset], cfg)
-        dec2 = decode_prefix([worker_multiply(w, z2) for w in subset], cfg)
+        dec_comb = decode_prefix([worker_multiply(w, alpha * z1 + z2) for w in subset])
+        dec1 = decode_prefix([worker_multiply(w, z1) for w in subset])
+        dec2 = decode_prefix([worker_multiply(w, z2) for w in subset])
         np.testing.assert_allclose(dec_comb, alpha * dec1 + dec2, rtol=1e-9, atol=1e-10)
 
     def test_full_response_uses_systematic_rows_verbatim(self):
@@ -531,7 +529,7 @@ class TestDecode:
         workers = encode_all(random_source(cfg, 5, 4), cfg)
         z = np.random.default_rng(6).standard_normal(5)
         results = [worker_multiply(w, z) for w in workers]
-        decoded = decode_prefix(results, cfg)
+        decoded = decode_prefix(results)
         sys_rows = {}
         for res, tags in zip(results, row_tags(cfg)):
             for value, tag in zip(res.y, tags):
@@ -546,14 +544,14 @@ class TestDecode:
         workers = encode_all(random_source(cfg, 3, 1), cfg)
         res = worker_multiply(workers[0], np.zeros(3))
         with pytest.raises(ValueError):
-            decode_prefix([res, res], cfg)
+            decode_prefix([res, res])
 
     def test_unknown_worker_rejected(self):
         cfg = Configuration(L=2, n=2, k=(1, 1))
         workers = encode_all(random_source(cfg, 3, 1), cfg)
         res = worker_multiply(workers[1], np.zeros(3))
         with pytest.raises(ValueError):
-            decode_prefix([type(res)(worker_id=3, y=res.y, layout=res.layout)], cfg)
+            decode_prefix([type(res)(worker_id=3, y=res.y, layout=res.layout)])
 
     @pytest.mark.parametrize("bad", [0, 5])
     def test_worker_id_out_of_range_rejected(self, bad):
@@ -563,7 +561,7 @@ class TestDecode:
         results = [worker_multiply(w, np.ones(7)) for w in workers]
         forged = type(results[0])(worker_id=bad, y=results[0].y, layout=results[0].layout)
         with pytest.raises(ValueError, match="worker ids must lie in 1..4"):
-            decode_prefix([results[1], forged, results[2]], cfg)
+            decode_prefix([results[1], forged, results[2]])
 
     def test_result_order_does_not_matter(self):
         cfg = Configuration(L=4, n=5, k=(1, 3, 4, 2))
@@ -572,9 +570,9 @@ class TestDecode:
         results = [worker_multiply(w, z) for w in workers]
         for ell in (2, 3, 4):
             for subset in combinations(results, ell):
-                want = decode_prefix(list(subset), cfg)
+                want = decode_prefix(list(subset))
                 for order in permutations(subset):
-                    assert decode_prefix(list(order), cfg).tobytes() == want.tobytes()
+                    assert decode_prefix(list(order)).tobytes() == want.tobytes()
 
     def test_insufficient_rows_detected(self):
         cfg = Configuration(L=2, n=2, k=(1, 1))
@@ -585,19 +583,25 @@ class TestDecode:
         keep = [i for i, t in enumerate(row_tags(cfg)[0]) if t.level != 1]
         broken = type(res)(worker_id=res.worker_id, y=res.y[keep], layout=res.layout)
         with pytest.raises(InsufficientResults):
-            decode_prefix([broken], cfg)
+            decode_prefix([broken])
 
     def test_result_of_another_configuration_detected(self):
         cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
         other = Configuration(L=4, n=3, k=(0, 4, 0, 4))
         # same row count on every worker, so only the provenance differs
         assert make_layout(cfg).starts == make_layout(other).starts
-        workers = encode_all(random_source(other, 7, 1), other)
         z = np.random.default_rng(2).standard_normal(7)
-        foreign = [worker_multiply(w, z) for w in workers]
-        for ell in (1, 2, cfg.L):
-            with pytest.raises(InsufficientResults):
-                decode_prefix(foreign[:ell], cfg)
+        A = random_source(other, 7, 1)
+        mine = [worker_multiply(w, z) for w in encode_all(random_source(cfg, 7, 1), cfg)]
+        foreign = [worker_multiply(w, z) for w in encode_all(A, other)]
+        for ell in range(2, cfg.L + 1):
+            for first, rest in ((mine, foreign), (foreign, mine)):
+                with pytest.raises(InsufficientResults):
+                    decode_prefix([first[0], *rest[1:ell]])
+            # one layout's results decode under that layout
+            h = make_layout(other).offsets[ell]
+            np.testing.assert_allclose(decode_prefix(foreign[:ell]), A[:h] @ z,
+                                       rtol=1e-10, atol=1e-10)
 
 
 class TestDump:

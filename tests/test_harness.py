@@ -1129,20 +1129,24 @@ class TestCli:
         assert len(read_trace_csv(out)) == 500 + 430
 
     @pytest.mark.parametrize(
-        "make",
+        "make, says",
         [
-            lambda d: d / "absent.npz",
-            lambda d: write_source(d / "no_b.npz", np.ones((38, 500))),
-            lambda d: write_source(d / "wide.npz", np.ones((38, 501)), np.ones(38)),
-            lambda d: write_source(d / "short_b.npz", np.ones((38, 500)), np.ones(37)),
-            lambda d: np.save(d / "plain.npy", np.ones((38, 500))) or d / "plain.npy",
-            lambda d: write_source(d / "complex.npz", np.random.default_rng(0)
-                                   .standard_normal((38, 500)) * (1 + 1j), np.ones(38)),
+            (lambda d: d / "absent.npz", "source_path"),
+            (lambda d: write_source(d / "no_b.npz", np.ones((38, 500))), "source_path"),
+            (lambda d: write_source(d / "wide.npz", np.ones((38, 501)), np.ones(38)),
+             "source_path"),
+            (lambda d: write_source(d / "short_b.npz", np.ones((38, 500)), np.ones(37)),
+             "source_path"),
+            (lambda d: np.save(d / "plain.npy", np.ones((38, 500))) or d / "plain.npy",
+             "expected an .npz archive"),
+            (lambda d: write_source(d / "complex.npz", np.random.default_rng(0)
+                                    .standard_normal((38, 500)) * (1 + 1j), np.ones(38)),
+             "source_path"),
         ],
         ids=["missing-file", "missing-b", "wrong-F-shape", "wrong-b-shape", "not-npz",
              "complex-F"],
     )
-    def test_experiment_bad_source_file_exit_2(self, tmp_path, capsys, make):
+    def test_experiment_bad_source_file_exit_2(self, tmp_path, capsys, make, says):
         ini = tmp_path / "file.ini"
         ini.write_text(FAST_CUSTOM.replace(
             "source = designed", f"source = file\nsource_path = {make(tmp_path)}"))
@@ -1151,7 +1155,8 @@ class TestCli:
             "experiment", "custom", "--config", str(ini), "--output", str(out),
         ])
         assert code == 2
-        assert "source_path" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "source_path" in err and says in err
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import SeededRng
-from .codec import dump_rows, decode_prefix, encode_all, worker_multiply
+from .codec import dump_rows, decode_prefix, encode_all, make_layout, worker_multiply
 from .feasibility import Configuration, check_feasible, min_rows_oracle, row_count_s
+from .feasibility import ORACLE_MAX_ROWS, ORACLE_MAX_WORKERS
 from .harness import (
     PRESET_NAMES,
     make_preset,
@@ -56,14 +57,10 @@ def _cmd_feasible(args) -> int:
 
 def _cmd_demo_encode(args) -> int:
     cfg = Configuration(L=args.L, n=args.n, k=args.k)
-    budget = check_feasible(cfg)
-    if not budget.feasible:
-        raise ValueError(f"infeasible configuration: {budget.total} > {budget.capacity}")
+    h = make_layout(cfg).offsets  # level i is rows h[i-1]:h[i] of A
     if args.m < 1:
         raise ValueError(f"invalid column count: --m must be >= 1, got {args.m}")
     gen = SeededRng(args.seed).generator
-
-    h = (0, *cfg.cumulative_ranks())  # level i is rows h[i-1]:h[i] of A
     A = gen.standard_normal((h[-1], args.m))
     workers = encode_all(A, cfg)
 
@@ -125,18 +122,17 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.max_L < 1 or args.max_k < 0:
-        raise ValueError(f"empty sweep: need --max-L >= 1 and --max-k >= 0, got "
-                         f"{args.max_L} and {args.max_k}")
+    if not (1 <= args.max_L <= ORACLE_MAX_WORKERS and 0 <= args.max_k <= ORACLE_MAX_ROWS):
+        raise ValueError(
+            f"the sweep needs 1 <= --max-L <= {ORACLE_MAX_WORKERS} and 0 <= --max-k <= "
+            f"{ORACLE_MAX_ROWS} (the oracle guard), got {args.max_L} and {args.max_k}")
     mismatches = 0
     checked = 0
     for L in range(1, args.max_L + 1):
         for i in range(1, L + 1):
             for k_i in range(0, args.max_k + 1):
                 formula = row_count_s(i, k_i, L)
-                oracle = min_rows_oracle(
-                    L, i, k_i, max_workers=args.max_L, max_rows=args.max_k
-                )
+                oracle = min_rows_oracle(L, i, k_i)
                 checked += 1
                 if formula != oracle:
                     mismatches += 1
@@ -186,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check",
                        help="row-count formula vs brute-force oracle sweep")
-    p.add_argument("--max-L", type=int, default=5)
-    p.add_argument("--max-k", type=int, default=12)
+    p.add_argument("--max-L", type=int, default=5, help=f"at most {ORACLE_MAX_WORKERS}")
+    p.add_argument("--max-k", type=int, default=12, help=f"at most {ORACLE_MAX_ROWS}")
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

@@ -161,7 +161,8 @@ class Layout:
 
 @lru_cache(maxsize=None)
 def make_layout(cfg: Configuration) -> Layout:
-    """The block layout of a configuration, built once per configuration.
+    """The block layout of a configuration, built once per configuration; the
+    one place an infeasible configuration is refused (InfeasibleConfiguration).
 
     Level i's source rows are split into consecutive blocks of i rows plus a
     remainder block; a block of rows_in rows is coded to
@@ -175,10 +176,11 @@ def make_layout(cfg: Configuration) -> Layout:
     budget = check_feasible(cfg)
     if not budget.feasible:
         raise InfeasibleConfiguration(
-            f"row budget {budget.total} exceeds capacity {budget.capacity}"
+            f"configuration {cfg.k} is infeasible: row budget {budget.total} "
+            f"exceeds capacity {budget.capacity}"
         )
     loads = [0] * cfg.L
-    offsets = (0, *cfg.cumulative_ranks())
+    offsets = tuple(accumulate(cfg.k, initial=0))
     levels = []
     for level in range(1, cfg.L + 1):
         blocks = []

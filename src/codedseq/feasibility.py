@@ -20,6 +20,8 @@ __all__ = [
     "RowBudget",
     "row_count_s",
     "check_feasible",
+    "ORACLE_MAX_WORKERS",
+    "ORACLE_MAX_ROWS",
     "min_rows_oracle",
     "first_feasible",
     "auto_configuration",
@@ -50,15 +52,6 @@ class Configuration:
     def capacity(self) -> int:
         """Total encoded rows the cluster can hold (n rows on L workers)."""
         return self.n * self.L
-
-    def cumulative_ranks(self) -> tuple[int, ...]:
-        """Prefix sums h_ell = k_1 + ... + k_ell for ell = 1..L."""
-        out = []
-        total = 0
-        for v in self.k:
-            total += v
-            out.append(total)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -112,9 +105,12 @@ def _nonincreasing_allocations(
         partial.pop()
 
 
-def min_rows_oracle(
-    L: int, i: int, k_i: int, *, max_workers: int = 6, max_rows: int = 24
-) -> int:
+# The brute-force oracle's guard: the largest L and k_i it will search.
+ORACLE_MAX_WORKERS = 6
+ORACLE_MAX_ROWS = 24
+
+
+def min_rows_oracle(L: int, i: int, k_i: int) -> int:
     """Exact minimum of sum(n_ell) subject to every i-subset covering k_i rows.
 
     Brute force: worker symmetry lets the search range over nonincreasing
@@ -122,16 +118,17 @@ def min_rows_oracle(
     ceil(k_i / i) (an all-ceil allocation is already feasible, and any larger
     entry can be exchanged downward without breaking a subset constraint).
     Every size-i subset is then checked explicitly, so the result is an
-    independent lower-bound witness for ``row_count_s``.
+    independent lower-bound witness for ``row_count_s``.  Instances above the
+    guard (L > ORACLE_MAX_WORKERS or k_i > ORACLE_MAX_ROWS) raise ValueError.
     """
     if not 1 <= i <= L:
         raise ValueError(f"level index {i} outside 1..{L}")
     if k_i < 0:
         raise ValueError(f"k_i must be non-negative, got {k_i}")
-    if L > max_workers or k_i > max_rows:
+    if L > ORACLE_MAX_WORKERS or k_i > ORACLE_MAX_ROWS:
         raise ValueError(
-            f"instance (L={L}, k_i={k_i}) above oracle guard "
-            f"(max_workers={max_workers}, max_rows={max_rows})"
+            f"instance (L={L}, k_i={k_i}) above the oracle guard "
+            f"(L <= {ORACLE_MAX_WORKERS}, k_i <= {ORACLE_MAX_ROWS})"
         )
     if k_i == 0:
         return 0

@@ -9,6 +9,7 @@ inner products, finish the product user-side).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
@@ -19,10 +20,11 @@ from .codec import (
     WorkerMatrix,
     decode_prefix,
     encode_all,
+    make_layout,
     support_product,
     worker_multiply,
 )
-from .feasibility import Configuration, check_feasible
+from .feasibility import Configuration
 
 __all__ = [
     "LassoProblem",
@@ -165,20 +167,14 @@ class Phase:
     ell: int
 
 
-def _least_responders(h: tuple[int, ...], rank: int) -> int:
-    """The fewest responders whose cumulative rank h_ell covers ``rank``."""
-    for ell, covered in enumerate(h, start=1):
-        if covered >= rank:
-            return ell
-    raise ValueError(f"no responder count reaches rank {rank} (cumulative ranks {h})")
-
-
 @dataclass(frozen=True)
 class ApproxSchedule:
     """The R phases of a sequential-approximation run over one configuration,
-    from (rank, iterations) pairs; phase r's ell is the least responder count
-    whose cumulative rank covers its rank, and the exact scheme is the
-    one-phase case."""
+    from (rank, iterations) pairs; the exact scheme is the one-phase case.
+
+    Phase r's ell is read off the configuration's layout (``make_layout``,
+    which refuses an infeasible configuration): the least responder count
+    whose cumulative rank ``offsets[ell]`` covers the phase's rank."""
 
     config: Configuration
     phase_specs: InitVar[Sequence[tuple[int, int]]]
@@ -187,9 +183,7 @@ class ApproxSchedule:
     def __post_init__(self, phase_specs: Sequence[tuple[int, int]]) -> None:
         if not phase_specs:
             raise ValueError("schedule needs at least one phase")
-        if not check_feasible(self.config).feasible:
-            raise ValueError(f"configuration {self.config.k} is infeasible")
-        h = self.config.cumulative_ranks()
+        offsets = make_layout(self.config).offsets
         phases = []
         prev_rank = 0
         for rank, iterations in phase_specs:
@@ -197,7 +191,11 @@ class ApproxSchedule:
                 raise ValueError(f"phase iteration count must be >= 1, got {rank, iterations}")
             if rank <= prev_rank:
                 raise ValueError(f"phase ranks must strictly increase, got {rank, iterations}")
-            phases.append(Phase(rank, iterations, _least_responders(h, rank)))
+            ell = bisect_left(offsets, rank)  # offsets[0] = 0 < rank
+            if ell > self.config.L:
+                raise ValueError(f"no responder count reaches rank {rank} "
+                                 f"(cumulative ranks {offsets[1:]})")
+            phases.append(Phase(rank, iterations, ell))
             prev_rank = rank
         object.__setattr__(self, "phases", tuple(phases))
 

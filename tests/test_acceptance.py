@@ -6,7 +6,7 @@ assertion carries the same verdict into the pytest result.
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -50,7 +50,7 @@ def roundtrip_error(cfg: Configuration, m: int, seed: int) -> float:
     workers = encode_all(A, cfg)
     z = rng.standard_normal(m)
     results = [worker_multiply(w, z) for w in workers]
-    h = (0, *cfg.cumulative_ranks())
+    h = (0, *accumulate(cfg.k))
     worst = 0.0
     for ell in range(1, cfg.L + 1):
         for subset in combinations(range(cfg.L), ell):

@@ -1,5 +1,5 @@
 from collections import namedtuple
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ def random_source(cfg, m, seed):
 
 def level_bounds(cfg):
     """(first, end) source rows of each level, from the cumulative ranks."""
-    h = (0, *cfg.cumulative_ranks())
+    h = (0, *accumulate(cfg.k))
     return list(zip(h, h[1:]))
 
 
@@ -42,7 +42,7 @@ def roundtrip_max_error(cfg, m=10, seed=0):
     for ell in range(1, cfg.L + 1):
         for subset in combinations(range(cfg.L), ell):
             decoded = decode_prefix([results[i] for i in subset])
-            assert decoded.shape == (cfg.cumulative_ranks()[ell - 1],)
+            assert decoded.shape == (list(accumulate(cfg.k))[ell - 1],)
             for a, b in level_bounds(cfg)[:ell]:
                 block, truth = decoded[a:b], A[a:b] @ z
                 if truth.size:

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import codedseq.cli as cli_module
 import codedseq.harness as harness_module
 from codedseq.cli import main
 from codedseq.cluster import LatencyModel
+from codedseq.codec import InfeasibleConfiguration, encode_all, make_layout
 from codedseq.feasibility import Configuration, first_feasible
 from codedseq.harness import (
     ExperimentConfig,
@@ -26,7 +28,7 @@ from codedseq.harness import (
     validate_experiment,
     write_trace_csv,
 )
-from codedseq.solver import RunTrace, SvdFactors
+from codedseq.solver import ApproxSchedule, RunTrace, SvdFactors
 
 FAST_CUSTOM = """
 [cluster]
@@ -756,6 +758,46 @@ class TestFailureOwnership:
         assert list(tmp_path.rglob("*")) == [out]
 
 
+# k = (9, 9, 9, 9) spends 36 + 19 + 12 + 9 coded rows on L = 4 workers of n = 10
+INFEASIBLE = Configuration(L=4, n=10, k=(9, 9, 9, 9))
+INFEASIBLE_MESSAGE = ("configuration (9, 9, 9, 9) is infeasible: "
+                      "row budget 76 exceeds capacity 40")
+
+
+class TestOneRefusal:
+    """make_layout alone refuses an infeasible configuration, and every path
+    that meets one gives its message."""
+
+    @pytest.mark.parametrize("build", [
+        make_layout,
+        lambda cfg: ApproxSchedule(cfg, [(6, 5)]),
+        lambda cfg: encode_all(np.zeros((36, 3)), cfg),
+    ], ids=["make_layout", "ApproxSchedule", "encode_all"])
+    def test_library_paths(self, build):
+        with pytest.raises(InfeasibleConfiguration) as exc:
+            build(INFEASIBLE)
+        assert str(exc.value) == INFEASIBLE_MESSAGE
+
+    def test_experiment_exits_2_before_any_replication(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        draws = count_draws(monkeypatch)
+        ini = tmp_path / "k9.ini"
+        ini.write_text(FAST_CUSTOM.replace("k = 0,0,6,32", "k = 9,9,9,9"))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini), "--output", str(out)])
+        assert code == 2
+        assert f"validation failed: {INFEASIBLE_MESSAGE}" in capsys.readouterr().err
+        assert draws == []
+        assert [p.name for p in tmp_path.iterdir()] == ["k9.ini"]
+
+    def test_demo_encode_exits_2(self, capsys):
+        assert main(["demo-encode", "--L", "4", "--n", "10", "--k", "9,9,9,9"]) == 2
+        captured = capsys.readouterr()
+        assert f"validation failed: {INFEASIBLE_MESSAGE}" in captured.err
+        assert captured.out == ""
+
+
 class TestCli:
     def test_feasible_ok(self, capsys):
         assert main(["feasible", "--L", "4", "--n", "3", "--k", "0,3,3,1"]) == 0
@@ -834,8 +876,28 @@ class TestCli:
     def test_oracle_check_empty_sweep_exit_2(self, capsys, bounds):
         assert main(["oracle-check", *bounds]) == 2
         captured = capsys.readouterr()
-        assert "empty sweep" in captured.err
+        assert "oracle guard" in captured.err
         assert "matches" not in captured.out
+
+    @pytest.mark.parametrize("bounds", [["--max-L", "7", "--max-k", "12"],
+                                        ["--max-L", "5", "--max-k", "25"]])
+    def test_oracle_check_refuses_bounds_above_the_guard(
+        self, capsys, monkeypatch, bounds
+    ):
+        def no_case(*args):
+            raise AssertionError("a case was checked before the bounds were")
+
+        monkeypatch.setattr(cli_module, "min_rows_oracle", no_case)
+        assert main(["oracle-check", *bounds]) == 2
+        captured = capsys.readouterr()
+        assert "--max-L <= 6 and 0 <= --max-k <= 24 (the oracle guard)" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("bounds", [["--max-L", "6", "--max-k", "0"],
+                                        ["--max-L", "1", "--max-k", "24"]])
+    def test_oracle_check_accepts_the_guard_edges(self, capsys, bounds):
+        assert main(["oracle-check", *bounds]) == 0
+        assert "matches" in capsys.readouterr().out
 
     def test_experiment_preset_rejects_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"

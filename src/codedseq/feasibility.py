@@ -7,6 +7,13 @@ module answers which configurations fit: a closed-form per-level row budget,
 an aggregate capacity test, an independent brute-force oracle that
 minimises the same row count by exhaustive search over integer allocations,
 and the one rule that places a schedule's rows (``auto_configuration``).
+
+In parity form the budget is s_i(k_i) = k_i + (L - i) * ceil(k_i / i): each
+block of up to i rows on level i adds L - i parity rows.  Parity per row
+falls as i grows, so the fewest coded rows that meet a set of cumulative
+targets come from one greedy pass over the levels (``_least_rows``, which
+gives the exchange argument), and ``first_feasible`` reads the
+lexicographically first configuration off that pass one level at a time.
 """
 from __future__ import annotations
 
@@ -70,17 +77,16 @@ class RowBudget:
 def row_count_s(i: int, k_i: int, L: int) -> int:
     """Encoded rows consumed by level i holding k_i source rows.
 
-    Full blocks of i rows each cost L coded rows; a remainder block of
-    (k_i mod i) rows costs L - i + (k_i mod i).
+    The rows form ceil(k_i / i) blocks of at most i rows, and each block
+    adds L - i parity rows: s_i(k_i) = k_i + (L - i) * ceil(k_i / i).  So a
+    full block costs L coded rows, and a remainder block of (k_i mod i) rows
+    costs L - i + (k_i mod i).
     """
     if not 1 <= i <= L:
         raise ValueError(f"level index {i} outside 1..{L}")
     if k_i < 0:
         raise ValueError(f"k_i must be non-negative, got {k_i}")
-    full, rem = divmod(k_i, i)
-    if rem == 0:
-        return full * L
-    return full * L + L - i + rem
+    return k_i + (L - i) * -(-k_i // i)
 
 
 def check_feasible(cfg: Configuration) -> RowBudget:
@@ -144,6 +150,31 @@ def min_rows_oracle(L: int, i: int, k_i: int) -> int:
     return best[0]
 
 
+def _least_rows(L: int, required: Sequence[int], level: int, c: int) -> float:
+    """Fewest coded rows levels level..L need to meet every target when c
+    source rows precede the level; inf when c already misses
+    required[level - 1].
+
+    One greedy pass is exact.  The levels hold exactly R - c source rows
+    (R = required[L]; rows past R serve no target), so placements differ
+    only in parity rows, and a block of up to i rows on level i carries
+    L - i of them.  Moving a block from level i to level i + 1 saves one
+    parity row while every later prefix holds at least as many rows, so a
+    least placement opens on each level only the blocks its own target
+    needs.  The spare rows of a level's last partial block are then free,
+    and filling them never raises a later level's cost.
+    """
+    if c < required[level - 1]:
+        return math.inf
+    cost = 0
+    for i in range(level, L + 1):
+        if c < required[i]:
+            k_i = min(-(-(required[i] - c) // i) * i, required[L] - c)
+            cost += row_count_s(i, k_i, L)
+            c += k_i
+    return cost
+
+
 def first_feasible(
     L: int, n: int, targets: Iterable[tuple[int, int]]
 ) -> Configuration | None:
@@ -168,35 +199,17 @@ def first_feasible(
         required[ell] = max(required[ell], required[ell - 1])
 
     R = required[L]
-    # every source row costs at least one coded row, which also keeps R <= n*L
-    if R > capacity:
+    if _least_rows(L, required, 1, 0) > capacity:
         return None
-    # least[level][c]: fewest coded rows levels level..L need to meet every
-    # remaining target when c source rows (capped at R) precede the level;
-    # inf when c already misses required[level - 1].
-    least = [[]] * (L + 1) + [[math.inf] * R + [0]]
-    for level in range(L, 0, -1):
-        # s_i(k_i + i) = s_i(k_i) + L, so k_i is a remainder r < i plus whole
-        # blocks, and whole[j] is the least cost of whole blocks from j on
-        whole = least[level + 1][:]
-        for j in range(R - level, -1, -1):
-            whole[j] = min(whole[j], L + whole[j + level])
-        part = [row_count_s(level, r, L) for r in range(level)]
-        least[level] = [
-            min(part[r] + whole[c + r] for r in range(min(level, R - c + 1)))
-            if c >= required[level - 1] else math.inf
-            for c in range(R + 1)
-        ]
-    if least[1][0] > capacity:
-        return None
-    # least is exact, so the smallest k_i that leaves room for the levels after
-    # it is never undone; least[level][c] <= room means some k_i <= R - c does
+    # _least_rows is exact, so the smallest k_i that leaves room for the levels
+    # after it is never undone, and the greedy pass's own k_i always fits
     k: list[int] = []
     room = capacity
     for level in range(1, L + 1):
         c = sum(k)
-        k.append(next(k_i for k_i in range(R - c + 1)
-                      if row_count_s(level, k_i, L) + least[level + 1][c + k_i] <= room))
+        k.append(next(k_i for k_i in range(max(0, required[level] - c), R - c + 1)
+                      if row_count_s(level, k_i, L)
+                      + _least_rows(L, required, level + 1, c + k_i) <= room))
         room -= row_count_s(level, k[-1], L)
     return Configuration(L=L, n=n, k=tuple(k))
 

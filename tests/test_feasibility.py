@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import accumulate, product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from codedseq import feasibility
 from codedseq.feasibility import (
     Configuration,
     auto_configuration,
@@ -169,6 +171,94 @@ class TestFeasibleConfigsBruteForce:
     def test_rank_above_capacity_yields_nothing(self):
         assert first_feasible(3, 2, [(3, 7)]) is None
         assert first_feasible(3, 2, [(3, 6)]) == Configuration(L=3, n=2, k=(0, 0, 6))
+
+
+def reference_first_feasible(L, n, targets):
+    """``first_feasible`` as an exact O(L^2 R) table computed it before the
+    closed-form greedy pass replaced the table; kept as the reference."""
+    if L < 1 or n < 1:
+        raise ValueError("L and n must be positive")
+    capacity = n * L
+    # cumulative requirement by each level (targets at earlier ell bind later)
+    required = [0] * (L + 1)
+    for ell, rank in targets:
+        if not 1 <= ell <= L:
+            raise ValueError(f"target level {ell} outside 1..{L}")
+        if rank < 0:
+            raise ValueError(f"target rank must be non-negative, got {rank}")
+        required[ell] = max(required[ell], rank)
+    for ell in range(1, L + 1):
+        required[ell] = max(required[ell], required[ell - 1])
+
+    R = required[L]
+    # every source row costs at least one coded row, which also keeps R <= n*L
+    if R > capacity:
+        return None
+    # least[level][c]: fewest coded rows levels level..L need to meet every
+    # remaining target when c source rows (capped at R) precede the level;
+    # inf when c already misses required[level - 1].
+    least = [[]] * (L + 1) + [[math.inf] * R + [0]]
+    for level in range(L, 0, -1):
+        # s_i(k_i + i) = s_i(k_i) + L, so k_i is a remainder r < i plus whole
+        # blocks, and whole[j] is the least cost of whole blocks from j on
+        whole = least[level + 1][:]
+        for j in range(R - level, -1, -1):
+            whole[j] = min(whole[j], L + whole[j + level])
+        part = [row_count_s(level, r, L) for r in range(level)]
+        least[level] = [
+            min(part[r] + whole[c + r] for r in range(min(level, R - c + 1)))
+            if c >= required[level - 1] else math.inf
+            for c in range(R + 1)
+        ]
+    if least[1][0] > capacity:
+        return None
+    # least is exact, so the smallest k_i that leaves room for the levels after
+    # it is never undone; least[level][c] <= room means some k_i <= R - c does
+    k: list[int] = []
+    room = capacity
+    for level in range(1, L + 1):
+        c = sum(k)
+        k.append(next(k_i for k_i in range(R - c + 1)
+                      if row_count_s(level, k_i, L) + least[level + 1][c + k_i] <= room))
+        room -= row_count_s(level, k[-1], L)
+    return Configuration(L=L, n=n, k=tuple(k))
+
+
+class TestAgainstReferenceTable:
+    def test_first_feasible_matches_reference(self):
+        # unsorted and repeated ell, and ranks past the capacity n*L
+        rng = random.Random(24)
+        verdicts = set()
+        for _ in range(2000):
+            L, n = rng.randint(1, 8), rng.randint(1, 15)
+            targets = [(rng.randint(1, L), rng.randint(0, n * L + 2))
+                       for _ in range(rng.randint(0, 5))]
+            want = reference_first_feasible(L, n, targets)
+            assert first_feasible(L, n, targets) == want, (L, n, targets)
+            verdicts.add(want is None)
+        assert verdicts == {True, False}
+
+    def test_auto_configuration_matches_reference(self, monkeypatch):
+        rng = random.Random(24)
+        cases = []
+        for _ in range(500):
+            # capacity n*L near 18 at most keeps the reference table cheap
+            L = rng.randint(1, 12)
+            n = rng.randint(1, max(1, 18 // L))
+            count = rng.randint(1, min(4, n * L + 2))
+            cases.append((L, n, sorted(rng.sample(range(1, n * L + 3), count))))
+
+        def picks():
+            for L, n, ranks in cases:
+                try:
+                    yield auto_configuration(L, n, ranks)
+                except ValueError:
+                    yield None
+
+        got = list(picks())
+        monkeypatch.setattr(feasibility, "first_feasible", reference_first_feasible)
+        assert got == list(picks())
+        assert None in got
 
 
 def single_level(L, n, rank):

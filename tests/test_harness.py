@@ -204,6 +204,7 @@ class TestAutoConfiguration:
     @pytest.mark.parametrize("L, n, ranks, k", [
         (4, 200, (10, 800), (0, 0, 0, 800)),
         (8, 100, (40, 400, 800), (0, 0, 0, 0, 0, 0, 0, 800)),
+        (8, 1000, (1000, 3000, 6000), (0, 0, 1000, 0, 0, 0, 2000, 3000)),
     ])
     def test_large_final_rank(self, L, n, ranks, k):
         cfg = ExperimentConfig(label="big", L=L, n=n, phases=tuple((r, 5) for r in ranks),

@@ -154,17 +154,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("feasible", help="check a configuration", parents=[])
-    p.add_argument("--L", type=int, required=True, help="number of workers")
-    p.add_argument("--n", type=int, required=True, help="rows per worker")
-    p.add_argument("--k", type=_parse_k, required=True,
-                   help="comma-separated level counts, e.g. 0,3,3,1")
+    cluster = argparse.ArgumentParser(add_help=False)  # the configuration's arguments
+    cluster.add_argument("--L", type=int, required=True, help="number of workers")
+    cluster.add_argument("--n", type=int, required=True, help="rows per worker")
+    cluster.add_argument("--k", type=_parse_k, required=True,
+                         help="comma-separated level counts, e.g. 0,3,3,1")
+
+    p = sub.add_parser("feasible", help="check a configuration", parents=[cluster])
     p.set_defaults(func=_cmd_feasible)
 
-    p = sub.add_parser("demo-encode", help="encode and self-test a configuration")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=_parse_k, required=True)
+    p = sub.add_parser("demo-encode", help="encode and self-test a configuration",
+                       parents=[cluster])
     p.add_argument("--m", type=int, default=7, help="column count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", type=str, default=None,

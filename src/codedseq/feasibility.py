@@ -150,10 +150,9 @@ def min_rows_oracle(L: int, i: int, k_i: int) -> int:
     return best[0]
 
 
-def _least_rows(L: int, required: Sequence[int], level: int, c: int) -> float:
-    """Fewest coded rows levels level..L need to meet every target when c
-    source rows precede the level; inf when c already misses
-    required[level - 1].
+def _least_rows(L: int, required: Sequence[int], level: int, c: int) -> int:
+    """Fewest coded rows levels level..L need to meet every target when
+    c >= required[level - 1] source rows precede the level.
 
     One greedy pass is exact.  The levels hold exactly R - c source rows
     (R = required[L]; rows past R serve no target), so placements differ
@@ -164,8 +163,6 @@ def _least_rows(L: int, required: Sequence[int], level: int, c: int) -> float:
     needs.  The spare rows of a level's last partial block are then free,
     and filling them never raises a later level's cost.
     """
-    if c < required[level - 1]:
-        return math.inf
     cost = 0
     for i in range(level, L + 1):
         if c < required[i]:

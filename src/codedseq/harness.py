@@ -104,16 +104,33 @@ def resolve_configuration(config: ExperimentConfig) -> Configuration:
     return auto_configuration(config.L, config.n, [rank for rank, _ in config.phases])
 
 
+# One replication's problem, the SVD factors of its F and its optimum x*.
+_Instance = tuple[LassoProblem, SvdFactors, np.ndarray]
+
+
+def _solved(problem: LassoProblem, rank: int) -> _Instance:
+    """The problem with its factors and reference optimum; an F whose rank is
+    not ``rank`` raises ValueError naming both."""
+    svd = SvdFactors.from_matrix(problem.F)
+    if svd.rank != rank:
+        raise ValueError(f"F has rank {svd.rank}, the config says {rank}")
+    return problem, svd, reference_solution(problem, svd=svd)[0]
+
+
 def validate_experiment(
     config: ExperimentConfig,
-) -> tuple[ApproxSchedule, ApproxSchedule, Callable[[SeededRng], LassoProblem]]:
+) -> tuple[ApproxSchedule, ApproxSchedule, Callable[[SeededRng], _Instance]]:
     """Decide everything the run depends on before its first replication,
     gamma included (the seed is decided when run_experiment builds SeededRng).
 
     Returns the sequential schedule, the baseline schedule and ``draw``, which
-    gives one replication's problem from that replication's stream.  A file
-    source is read here once and every draw returns it; a generated source
-    looks its generator up by name at each draw.
+    gives one replication's (problem, SVD factors, x*) from that replication's
+    stream.  A generated source looks its generator up by name at each draw,
+    then factors and solves the fresh instance.  A file source is read, then,
+    as the last step and only if every cheaper check passed, factored, its
+    rank checked and solved, once: every draw returns that one instance.  A
+    LinAlgError from that solve is a numerical failure, raised as
+    RuntimeError.
     """
     if config.label in PRESET_NAMES and config != make_preset(config.label):
         raise ValueError(
@@ -138,13 +155,8 @@ def validate_experiment(
                 f"needs F ({config.rows}, {config.cols}) and b ({config.rows},)"
             )
         if config.rank > full_rank:
-            raise ValueError(
-                f"rank {config.rank} exceeds min(rows, cols) = {full_rank}"
-            )
+            raise ValueError(f"rank {config.rank} exceeds min(rows, cols) = {full_rank}")
         problem = LassoProblem(F=F, b=b, gamma=config.gamma)
-
-        def draw(rng: SeededRng) -> LassoProblem:
-            return problem
     elif config.source == "designed":
         if config.rows > config.cols:
             raise ValueError(f"source 'designed' needs rows <= cols, "
@@ -153,12 +165,12 @@ def validate_experiment(
             raise ValueError(f"source 'designed' needs rows >= {HIDDEN_MODE}, "
                              f"got {config.rows}")
 
-        def draw(rng: SeededRng) -> LassoProblem:
-            return designed_problem(rng, **shape).problem
+        def draw(rng: SeededRng) -> _Instance:
+            return _solved(designed_problem(rng, **shape).problem, config.rank)
     elif config.source == "gaussian":
 
-        def draw(rng: SeededRng) -> LassoProblem:
-            return gaussian_problem(rng, **shape)
+        def draw(rng: SeededRng) -> _Instance:
+            return _solved(gaussian_problem(rng, **shape), config.rank)
     else:
         raise ValueError(f"unknown problem source {config.source!r}")
     if config.source != "file" and config.rank != full_rank:
@@ -174,6 +186,12 @@ def validate_experiment(
     except ValueError as exc:
         raise ValueError(f"baseline: {exc}") from None
     baseline = ApproxSchedule(exact, [(config.rank, config.baseline_iterations)])
+    if config.source == "file":  # the costliest check, so the last
+        try:
+            solved = _solved(problem, config.rank)
+        except np.linalg.LinAlgError as exc:  # a ValueError, but the input is valid
+            raise RuntimeError(str(exc)) from exc
+        return schedule, baseline, lambda rng: solved
     return schedule, baseline, draw
 
 
@@ -373,14 +391,16 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Paired sequential-vs-baseline replications; traces to CSV, then summary.
 
-    Each replication draws one problem instance and runs both algorithms on
-    it with distinct derived latency streams (variance reduction for the
-    speedup estimate).  The summary is recomputed from the written file.
+    Each replication takes its problem, factors and x* from validation's
+    ``draw`` and runs both algorithms on them with distinct derived latency
+    streams (variance reduction for the speedup estimate).  The summary is
+    recomputed from the written file.
 
     A ValueError is invalid input, raised before the first replication, as
     is an OSError naming ``output`` when it is a directory or its directory
-    is missing.  A failure during the run raises RuntimeError (a ValueError
-    from the run, LinAlgError included, is re-raised as one) or OSError.
+    is missing.  A numerical failure raises RuntimeError: while validation
+    solves a file source, or during the run, where a ValueError (LinAlgError
+    included) is re-raised as one.  A failed write raises OSError.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -394,13 +414,7 @@ def run_experiment(
     runs: list[tuple[str, str, RunTrace]] = []
     try:
         for rep in range(replications):
-            problem = draw(root.spawn(rep, 0))
-            svd = SvdFactors.from_matrix(problem.F)
-            if svd.rank != config.rank:
-                raise RuntimeError(
-                    f"replication {rep}: problem rank {svd.rank} != {config.rank}"
-                )
-            x_star, _ = reference_solution(problem, svd=svd)
+            problem, svd, x_star = draw(root.spawn(rep, 0))
             # only the sequential run charges the transpose round: the baseline
             # waits once per iteration, as bench/layers.py counts cluster.wait
             base = run_sequential(

@@ -43,6 +43,10 @@ class TestSampleRound:
         b = sample_round(m, 4, SeededRng(5).spawn(1))
         np.testing.assert_array_equal(a, b)
 
+    def test_rejects_no_workers(self):
+        with pytest.raises(ValueError, match="L must be >= 1, got 0"):
+            sample_round(LatencyModel.exponential(1.0), 0, SeededRng(0))
+
     def test_exponential_uses_inverse_cdf(self):
         rate = 2.5
         u = SeededRng(9).spawn(0).uniform_open_closed(4)
@@ -129,6 +133,11 @@ class TestOrderStatMean:
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
             order_stat_mean(LatencyModel.deterministic(1.0), 4, 2)
+
+    @pytest.mark.parametrize("ell", [0, 5])
+    def test_rejects_ell_outside_the_cluster(self, ell):
+        with pytest.raises(ValueError, match=f"ell={ell} outside 1..4"):
+            order_stat_mean(LatencyModel.exponential(1.0), 4, ell)
 
     def test_monte_carlo_agreement(self):
         # smaller replica of the acceptance check

@@ -539,6 +539,17 @@ class TestDecode:
             decoded[:2], np.array([sys_rows[(2, 0, 0)], sys_rows[(2, 0, 1)]])
         )
 
+    def test_no_results_rejected(self):
+        with pytest.raises(ValueError, match="need at least one worker result"):
+            decode_prefix([])
+
+    def test_more_results_than_workers_rejected(self):
+        cfg = Configuration(L=2, n=2, k=(1, 1))
+        workers = encode_all(random_source(cfg, 3, 1), cfg)
+        results = [worker_multiply(w, np.zeros(3)) for w in workers]
+        with pytest.raises(ValueError, match="got 3 results for a cluster of 2 workers"):
+            decode_prefix(results + results[:1])
+
     def test_duplicate_workers_rejected(self):
         cfg = Configuration(L=2, n=2, k=(1, 1))
         workers = encode_all(random_source(cfg, 3, 1), cfg)

@@ -96,6 +96,15 @@ class TestOracle:
         with pytest.raises(ValueError):
             min_rows_oracle(4, 2, 25)
 
+    @pytest.mark.parametrize("i, k_i, message", [
+        (0, 3, "level index 0 outside 1..4"),
+        (5, 3, "level index 5 outside 1..4"),
+        (2, -1, "k_i must be non-negative, got -1"),
+    ])
+    def test_rejects_bad_level_or_row_count(self, i, k_i, message):
+        with pytest.raises(ValueError, match=message):
+            min_rows_oracle(4, i, k_i)
+
     def test_matches_formula_small_sweep(self):
         for L in range(1, 5):
             for i in range(1, L + 1):

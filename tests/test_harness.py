@@ -71,6 +71,23 @@ def write_source(path, F, b=None):
     return path
 
 
+def file_experiment(npz, **changes):
+    """A file-source experiment on a 6 x 12 archive, fields changed as given."""
+    config = ExperimentConfig(
+        label="file", L=2, n=5, rows=6, cols=12, rank=6, source="file",
+        source_path=str(npz), phases=((3, 5), (6, 20)), configuration=(3, 3))
+    return dataclasses.replace(config, **changes)
+
+
+def counting(name, real, events):
+    """``real``, appending ``name`` to ``events`` at each call."""
+    def wrapper(*args, **kwargs):
+        events.append(name)
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
 def sorted_summary(path, label, threshold):
     """Reference summary: groups every row by run, sorts each run by
     iteration and reads the first row at or below the threshold and the last
@@ -628,19 +645,18 @@ class TestParseConfig:
             "[configuration]\nk = 3,3\n"
         )
         config = parse_config_file(ini)
-        # validation reads the archive, and every replication reuses it
-        calls = []
-        load = harness_module._load_source
-
-        def counting(path):
-            calls.append(path)
-            return load(path)
-
-        monkeypatch.setattr(harness_module, "_load_source", counting)
+        # validation reads, factors and solves the archive once, before
+        # replication 0, and every replication reuses them
+        events = []
+        for owner, attr, name in ((harness_module, "_load_source", "load"),
+                                  (SvdFactors, "from_matrix", "svd"),
+                                  (harness_module, "reference_solution", "reference"),
+                                  (harness_module, "run_sequential", "run")):
+            monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr), events))
         out = tmp_path / "trace.csv"
         summary = run_experiment(config, seed=1, replications=3, output=out)
         assert summary.replications == 3
-        assert len(calls) == 1
+        assert events == ["load", "svd", "reference"] + ["run"] * (2 * 3)
         assert len(read_trace_csv(out)) == 3 * (25 + 25)
 
 
@@ -653,11 +669,32 @@ class TestParseConfig:
         rng = np.random.default_rng(0)
         F, b = make(rng.standard_normal((6, 12)), rng.standard_normal(6))
         npz = write_source(tmp_path / "problem.npz", F, b)
-        config = ExperimentConfig(
-            label="file", L=2, n=5, rows=6, cols=12, rank=6, source="file",
-            source_path=str(npz), phases=((3, 5), (6, 20)), configuration=(3, 3))
         with pytest.raises(ValueError, match=f"source_path.*{message}"):
-            validate_experiment(config)
+            validate_experiment(file_experiment(npz))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"source_path": None}, "source 'file' needs source_path"),
+        ({"rank": 7}, r"rank 7 exceeds min\(rows, cols\) = 6"),
+        ({"source": "csv"}, "unknown problem source 'csv'"),
+        ({"configuration": (3, 4), "phases": ((3, 5), (7, 20))},
+         "phase ranks exceed the problem rank"),
+        ({"configuration": (9, 9)}, r"configuration \(9, 9\) is infeasible"),
+        ({"n": 2, "configuration": (0, 3), "phases": ((3, 5),)},
+         r"baseline: no feasible configuration supports phase ranks \[6\]"),
+    ], ids=["no-path", "rank-above-shape", "unknown-source", "phase-above-rank",
+            "infeasible-schedule", "infeasible-baseline"])
+    def test_file_source_refusals_do_not_factor(self, tmp_path, monkeypatch, changes,
+                                                message):
+        rng = np.random.default_rng(0)
+        npz = write_source(tmp_path / "problem.npz", rng.standard_normal((6, 12)),
+                           rng.standard_normal(6))
+
+        def no_svd(F):
+            raise AssertionError("F was factored before validation ended")
+
+        monkeypatch.setattr(SvdFactors, "from_matrix", no_svd)
+        with pytest.raises(ValueError, match=message):
+            validate_experiment(file_experiment(npz, **changes))
 
     @pytest.mark.parametrize("source", ["designed", "gaussian"])
     def test_nan_gamma_is_decided_before_any_draw(self, source):
@@ -720,6 +757,37 @@ class TestFailureOwnership:
         assert len(calls) == 3
         assert out.read_text() == "earlier trace\n"
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_linalg_error_solving_a_file_exits_3_without_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # validation factors a file source, yet a numerical failure there is
+        # not invalid input
+        npz = write_source(tmp_path / "problem.npz",
+                           np.random.default_rng(0).standard_normal((38, 500)), np.ones(38))
+        ini = tmp_path / "file.ini"
+        ini.write_text(FAST_CUSTOM.replace(
+            "source = designed", f"source = file\nsource_path = {npz}"))
+        calls = fail_svd_at_call(monkeypatch, 1)
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini), "--replications", "3",
+                     "--output", str(out)])
+        assert code == 3
+        assert "experiment failed: SVD did not converge" in capsys.readouterr().err
+        assert len(calls) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.ini", "problem.npz"]
+
+    def test_zero_replications_exits_2_before_any_replication(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        draws = count_draws(monkeypatch)
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "example1", "--replications", "0",
+                     "--output", str(out)])
+        assert code == 2
+        assert "need at least one replication" in capsys.readouterr().err
+        assert draws == []
+        assert not out.exists()
 
     def test_negative_seed_exits_2_before_any_replication(
         self, tmp_path, capsys, monkeypatch
@@ -814,10 +882,14 @@ class TestCli:
         assert main(["feasible", "--L", "4", "--n", "3", "--k", "4,0,0,0"]) == 2
         assert "feasible: no" in capsys.readouterr().out
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["feasible", "--L", "4"])
         assert exc.value.code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["feasible", "--L", "4", "--n", "3", "--k", "1,x"])
+        assert exc.value.code == 1
+        assert "bad level counts '1,x'" in capsys.readouterr().err
 
     def test_demo_encode(self, tmp_path, capsys):
         out = tmp_path / "dump.csv"
@@ -872,6 +944,18 @@ class TestCli:
     def test_oracle_check(self, capsys):
         assert main(["oracle-check", "--max-L", "3", "--max-k", "6"]) == 0
         assert "matches" in capsys.readouterr().out
+
+    def test_oracle_check_mismatch_exits_3(self, capsys, monkeypatch):
+        real = cli_module.row_count_s
+
+        def off_by_one(i, k_i, L):  # wrong for one case only
+            return real(i, k_i, L) + ((L, i, k_i) == (2, 1, 1))
+
+        monkeypatch.setattr(cli_module, "row_count_s", off_by_one)
+        assert main(["oracle-check", "--max-L", "2", "--max-k", "1"]) == 3
+        out = capsys.readouterr().out
+        assert out.splitlines() == ["MISMATCH L=2 i=1 k_i=1: formula 3, oracle 2",
+                                    "1 mismatches in 6 cases"]
 
     @pytest.mark.parametrize("bounds", [["--max-L", "0"], ["--max-k", "-1"]])
     def test_oracle_check_empty_sweep_exit_2(self, capsys, bounds):
@@ -1140,22 +1224,29 @@ class TestCli:
         assert code == 0, capsys.readouterr().err
         assert len(read_trace_csv(out)) == 80 + 70
 
-    def test_runtime_failure_keeps_earlier_output(self, tmp_path, capsys):
-        # F has the configured shape but rank 37, which the run finds only
-        # after its SVD
+    def test_file_rank_mismatch_exits_2_and_keeps_earlier_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # F has the configured shape but rank 37, which only its SVD shows:
+        # validation factors a file source, so the run never starts
         F = np.random.default_rng(0).standard_normal((38, 500))
         F[-1] = F[0]
         npz = write_source(tmp_path / "rank37.npz", F, np.ones(38))
         ini = tmp_path / "file.ini"
         ini.write_text(FAST_CUSTOM.replace(
             "source = designed", f"source = file\nsource_path = {npz}"))
+        runs = []
+        monkeypatch.setattr(harness_module, "run_sequential",
+                            counting("run", harness_module.run_sequential, runs))
         out = tmp_path / "trace.csv"
         out.write_text("earlier trace\n")
         code = main([
             "experiment", "custom", "--config", str(ini), "--output", str(out),
         ])
-        assert code == 3
-        assert "experiment failed" in capsys.readouterr().err
+        assert code == 2
+        assert ("validation failed: F has rank 37, the config says 38"
+                in capsys.readouterr().err)
+        assert runs == []
         assert out.read_text() == "earlier trace\n"
         assert not list(tmp_path.glob("*.tmp"))
 

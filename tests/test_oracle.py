@@ -87,7 +87,7 @@ def reference_experiment(config, seed, replications):
     root = SeededRng(seed)
     trace = []
     for rep in range(replications):
-        problem = draw(root.spawn(rep, 0))
+        problem, _, _ = draw(root.spawn(rep, 0))  # the factors and x* are ours
         svd = SvdFactors.from_matrix(problem.F)
         x_star, _ = reference_solution(problem, svd=svd)
         tag = f"{config.label}-r{rep:03d}"

@@ -46,6 +46,11 @@ class TestLassoProblem:
     def test_zero_gamma_accepted(self):
         assert small_problem(gamma=0.0).gamma == 0.0
 
+    def test_b_must_match_the_rows_of_f(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"inconsistent shapes: F \(4, 6\), b \(5,\)"):
+            LassoProblem(F=rng.standard_normal((4, 6)), b=rng.standard_normal(5), gamma=1.0)
+
 
 class TestSoftThreshold:
     def test_positive_shrink(self):

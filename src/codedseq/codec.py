@@ -83,7 +83,10 @@ def make_generator(rows_in: int, rows_out: int) -> np.ndarray:
     array of the identity over a Cauchy parity block.
 
     Every square submatrix is invertible: its determinant is, up to sign, a
-    square minor of the Cauchy block (see ``_cauchy_parity``).
+    square minor of the Cauchy block (see ``_cauchy_parity``).  So the code is
+    MDS by construction and is not re-checked at run time; the tier-1 suite
+    checks every code with at most 12 coded rows by the singular values of
+    its square submatrices, 8,178 in all.
     """
     if not 1 <= rows_in <= rows_out:
         raise ValueError(f"need 1 <= rows_in <= rows_out, got ({rows_in}, {rows_out})")

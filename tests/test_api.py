@@ -2,11 +2,13 @@
 import ast
 import importlib
 import pkgutil
+import shlex
 from pathlib import Path
 
 import pytest
 
 import codedseq
+from codedseq.cli import build_parser
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(codedseq.__path__) if info.name != "__main__"
@@ -37,3 +39,13 @@ def test_readme_library_example():
     section = readme.split("## Library example", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_cli_lines_parse():
+    # parsing only: no command runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("codedseq ")]
+    assert len(lines) >= 4
+    for argv in lines:
+        build_parser().parse_args(argv[1:])

@@ -681,8 +681,10 @@ class TestParseConfig:
         ({"configuration": (9, 9)}, r"configuration \(9, 9\) is infeasible"),
         ({"n": 2, "configuration": (0, 3), "phases": ((3, 5),)},
          r"baseline: no feasible configuration supports phase ranks \[6\]"),
+        ({"configuration": (3, 4)},
+         r"configuration \(3, 4\) codes h_L = 7 rows, more than the problem rank 6"),
     ], ids=["no-path", "rank-above-shape", "unknown-source", "phase-above-rank",
-            "infeasible-schedule", "infeasible-baseline"])
+            "infeasible-schedule", "infeasible-baseline", "rows-above-rank"])
     def test_file_source_refusals_do_not_factor(self, tmp_path, monkeypatch, changes,
                                                 message):
         rng = np.random.default_rng(0)
@@ -788,6 +790,46 @@ class TestFailureOwnership:
         assert "need at least one replication" in capsys.readouterr().err
         assert draws == []
         assert not out.exists()
+
+    def test_rows_above_rank_exit_2_before_any_replication(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # feasible at n = 10, but k codes 39 source rows of a rank-38 F
+        draws = count_draws(monkeypatch)
+        ini = tmp_path / "k39.ini"
+        ini.write_text(FAST_CUSTOM.replace("6:10, 38:60", "3:10, 38:60")
+                       .replace("k = 0,0,6,32", "k = 0,0,3,36"))
+        out = tmp_path / "trace.csv"
+        code = main(["experiment", "custom", "--config", str(ini), "--output", str(out)])
+        assert code == 2
+        assert ("validation failed: configuration (0, 0, 3, 36) codes h_L = 39 rows, "
+                "more than the problem rank 38") in capsys.readouterr().err
+        assert draws == []
+        assert [p.name for p in tmp_path.iterdir()] == ["k39.ini"]
+
+    @pytest.mark.parametrize("k, seed, output, code, message", [
+        ("0,0,6,32", "-1", "trace.csv", 2, "validation failed: invalid seed -1"),
+        ("9,9,9,9", "-1", "trace.csv", 2, "validation failed: invalid seed -1"),
+        ("9,9,9,9", "0", "nodir/trace.csv", 3, "experiment failed: cannot write"),
+    ], ids=["seed", "seed-over-config", "output-over-config"])
+    def test_seed_and_output_are_refused_before_the_file_solve(
+        self, tmp_path, capsys, monkeypatch, k, seed, output, code, message
+    ):
+        npz = write_source(tmp_path / "problem.npz",
+                           np.random.default_rng(0).standard_normal((38, 500)), np.ones(38))
+        ini = tmp_path / "file.ini"
+        ini.write_text(FAST_CUSTOM.replace("source = designed",
+                                           f"source = file\nsource_path = {npz}")
+                       .replace("k = 0,0,6,32", f"k = {k}"))
+
+        def no_svd(F):
+            raise AssertionError("F was factored before the seed and output were checked")
+
+        monkeypatch.setattr(SvdFactors, "from_matrix", no_svd)
+        assert main(["experiment", "custom", "--config", str(ini), "--seed", seed,
+                     "--output", str(tmp_path / output)]) == code
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.ini", "problem.npz"]
 
     def test_negative_seed_exits_2_before_any_replication(
         self, tmp_path, capsys, monkeypatch

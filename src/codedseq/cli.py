@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import SeededRng
-from .codec import dump_rows, decode_prefix, encode_all, make_layout, worker_multiply
+from .codec import (
+    DUMP_COLUMNS, dump_rows, decode_prefix, encode_all, make_layout, worker_multiply,
+)
 from .feasibility import Configuration, check_feasible, min_rows_oracle, row_count_s
 from .feasibility import ORACLE_MAX_ROWS, ORACLE_MAX_WORKERS
 from .harness import (
@@ -64,12 +66,10 @@ def _cmd_demo_encode(args) -> int:
     A = gen.standard_normal((h[-1], args.m))
     workers = encode_all(A, cfg)
 
-    lines = ["worker_id,level,block,row,systematic,coefficients"]
-    for rec in dump_rows(cfg):
-        lines.append(
-            f"{rec['worker_id']},{rec['level']},{rec['block']},{rec['row']},"
-            f"{rec['systematic']},\"{rec['coefficients']}\""
-        )
+    lines = [",".join(DUMP_COLUMNS)]
+    for rec in dump_rows(cfg):  # the coefficients, the one text field, are quoted
+        fields = (rec[key] for key in DUMP_COLUMNS)
+        lines.append(",".join(f'"{v}"' if isinstance(v, str) else str(v) for v in fields))
     text = "\n".join(lines) + "\n"
     if args.output:
         try:

@@ -35,8 +35,12 @@ __all__ = [
     "encode_all",
     "worker_multiply",
     "decode_prefix",
+    "DUMP_COLUMNS",
     "dump_rows",
 ]
+
+# The keys of a dump_rows record, in the row dump's column order.
+DUMP_COLUMNS = ("worker_id", "level", "block", "row", "systematic", "coefficients")
 
 # support_product gates; see its docstring for the measurements behind them
 SUPPORT_MIN_ENTRIES = 1 << 16
@@ -294,7 +298,7 @@ def decode_prefix(results: Sequence[WorkerResult]) -> np.ndarray:
 
 def dump_rows(cfg: Configuration) -> Iterator[dict[str, object]]:
     """Per-coded-row provenance records in storage order (for the CSV debug
-    dump), read from the configuration's layout."""
+    dump), keyed by DUMP_COLUMNS and read from the configuration's layout."""
     placed = sorted(
         ((w, s), blk, r)
         for blocks in make_layout(cfg).levels
@@ -302,11 +306,6 @@ def dump_rows(cfg: Configuration) -> Iterator[dict[str, object]]:
         for r, (w, s) in enumerate(zip(blk.homes, blk.slots))
     )
     for (w, _), blk, r in placed:
-        yield {
-            "worker_id": w + 1,
-            "level": blk.level,
-            "block": blk.index,
-            "row": r,
-            "systematic": int(r < blk.rows_in),
-            "coefficients": " ".join(f"{c:.17g}" for c in blk.generator[r]),
-        }
+        coefficients = " ".join(f"{c:.17g}" for c in blk.generator[r])
+        yield dict(zip(DUMP_COLUMNS, (w + 1, blk.level, blk.index, r,
+                                      int(r < blk.rows_in), coefficients)))

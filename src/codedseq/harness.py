@@ -15,7 +15,7 @@ import numpy as np
 from .cluster import LatencyModel, SeededRng
 from .codec import make_layout
 from .feasibility import Configuration, auto_configuration
-from .problems import HIDDEN_MODE, designed_problem, gaussian_problem
+from .problems import DesignedProblem, designed_problem, gaussian_problem
 from .solver import (
     ApproxSchedule,
     LassoProblem,
@@ -155,12 +155,7 @@ def validate_experiment(
             raise ValueError(f"rank {config.rank} exceeds min(rows, cols) = {full_rank}")
         problem = LassoProblem(F=F, b=b, gamma=config.gamma)
     elif config.source == "designed":
-        if config.rows > config.cols:
-            raise ValueError(f"source 'designed' needs rows <= cols, "
-                             f"got {config.rows} x {config.cols}")
-        if config.rows < HIDDEN_MODE:
-            raise ValueError(f"source 'designed' needs rows >= {HIDDEN_MODE}, "
-                             f"got {config.rows}")
+        DesignedProblem.check_shape(config.rows, config.cols)
 
         def draw(rng: SeededRng) -> _Instance:
             return _solved(designed_problem(rng, **shape).problem, config.rank)
@@ -170,6 +165,9 @@ def validate_experiment(
             return _solved(gaussian_problem(rng, **shape), config.rank)
     else:
         raise ValueError(f"unknown problem source {config.source!r}")
+    if config.source != "file" and config.source_path:
+        raise ValueError(f"source {config.source!r} generates its problem; "
+                         f"it ignores source_path = {config.source_path}")
     if config.source != "file" and config.rank != full_rank:
         raise ValueError(
             f"source {config.source!r} gives rank {full_rank}, "

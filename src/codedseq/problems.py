@@ -26,13 +26,17 @@ from .solver import GRAM_ORTHO_TOL, LassoProblem
 
 __all__ = ["DesignedProblem", "designed_problem", "gaussian_problem"]
 
-# The default tail mode that holds the fringe certificate; a designed instance
-# needs at least this many rows.
+# The tail mode (1-based) that holds the fringe certificate; a designed
+# instance needs at least this many rows.
 HIDDEN_MODE = 16
-# Planted spike size, half-width of the off-support certificate box (inside
-# [-1, 1]) and smallest-to-largest singular value ratio: cond(F) = 1/SIGMA_DECAY.
+# Planted spike size, number of fringe coordinates and their size relative to
+# the spike, and half-width of the off-support certificate box (inside [-1, 1]).
 SPIKE = 5.0
+FRINGE_SIZE = 8
+FRINGE_SCALE = 0.05
 CERTIFICATE_BOX = 0.2
+# Largest singular value and smallest-to-largest ratio: cond(F) = 1/SIGMA_DECAY.
+SIGMA_TOP = 4.0
 SIGMA_DECAY = 0.7
 
 
@@ -43,6 +47,14 @@ class DesignedProblem:
     problem: LassoProblem
     planted_optimum: np.ndarray
 
+    @staticmethod
+    def check_shape(rows: int, cols: int) -> None:
+        """Raise ValueError unless HIDDEN_MODE <= rows <= cols."""
+        if rows > cols:
+            raise ValueError(f"source 'designed' needs rows <= cols, got {rows} x {cols}")
+        if rows < HIDDEN_MODE:
+            raise ValueError(f"source 'designed' needs rows >= {HIDDEN_MODE}, got {rows}")
+
 
 def designed_problem(
     rng: SeededRng,
@@ -50,18 +62,19 @@ def designed_problem(
     rows: int = 38,
     cols: int = 500,
     gamma: float = 5.0,
-    fringe_size: int = 8,
-    fringe_scale: float = 0.05,
-    sigma_top: float = 4.0,
-    hidden_mode: int = HIDDEN_MODE,
 ) -> DesignedProblem:
     """Instance with planted optimum: one spike plus a small hidden fringe.
 
-    The optimum is ``SPIKE`` on one coordinate plus ``fringe_size`` small
-    coordinates of relative size ``fringe_scale``.  The fringe's certificate
-    lives entirely in right-singular mode ``hidden_mode`` (1-based), so any
-    truncation of rank < hidden_mode solves the spike-only problem instead;
-    the relative gap between the two optima is about ``fringe_scale``.
+    The optimum is ``SPIKE`` on one coordinate plus ``FRINGE_SIZE`` small
+    coordinates of relative size ``FRINGE_SCALE``.  The fringe's certificate
+    lives entirely in right-singular mode ``HIDDEN_MODE`` (1-based), so any
+    truncation of rank < HIDDEN_MODE solves the spike-only problem instead;
+    the relative gap between the two optima is about ``FRINGE_SCALE``.  The
+    singular values fall geometrically from ``SIGMA_TOP`` to
+    ``SIGMA_TOP * SIGMA_DECAY``; off the support the certificate is drawn
+    from [-CERTIFICATE_BOX, CERTIFICATE_BOX].  The constants are read at
+    each call.  ``DesignedProblem.check_shape`` refuses a shape before the
+    first draw.
 
     The right factor V comes from one Cholesky pass over the Gram matrix of
     the tall ``(cols, rows)`` matrix it orthonormalises, certified with
@@ -71,23 +84,18 @@ def designed_problem(
     |b|, hence the lasso problem and each of its rank-r truncations, are
     the same on both routes up to rounding.
     """
-    if not 2 <= hidden_mode <= rows:
-        raise ValueError(f"hidden_mode {hidden_mode} outside 2..{rows}")
-    if not 0 < fringe_scale < 1:
-        raise ValueError(f"fringe_scale must be in (0, 1), got {fringe_scale}")
-    if not 1 <= fringe_size < cols:
-        raise ValueError(f"fringe_size {fringe_size} outside 1..{cols - 1}")
+    DesignedProblem.check_shape(rows, cols)
     gen = rng.generator
-    sigma = sigma_top * SIGMA_DECAY ** (np.arange(rows) / (rows - 1))
+    sigma = SIGMA_TOP * SIGMA_DECAY ** (np.arange(rows) / (rows - 1))
 
     j0 = int(gen.integers(cols))
     s0 = float(gen.choice([-1.0, 1.0]))
     others = np.setdiff1d(np.arange(cols), [j0])
-    fringe = gen.choice(others, size=fringe_size, replace=False)
-    fr_sign = gen.choice([-1.0, 1.0], size=fringe_size)
+    fringe = gen.choice(others, size=FRINGE_SIZE, replace=False)
+    fr_sign = gen.choice([-1.0, 1.0], size=FRINGE_SIZE)
     fr_values = (
-        fringe_scale * SPIKE / np.sqrt(fringe_size)
-        * fr_sign * (0.7 + 0.6 * gen.random(fringe_size))
+        FRINGE_SCALE * SPIKE / np.sqrt(FRINGE_SIZE)
+        * fr_sign * (0.7 + 0.6 * gen.random(FRINGE_SIZE))
     )
     x_opt = np.zeros(cols)
     x_opt[j0] = SPIKE * s0
@@ -102,11 +110,11 @@ def designed_problem(
     xi_visible = xi - xi_hidden
 
     # right factor: mode 1 spans the visible certificate part, mode
-    # hidden_mode the fringe-pinning part, the rest Haar-orthogonal filler
+    # HIDDEN_MODE the fringe-pinning part, the rest Haar-orthogonal filler
     raw = np.column_stack(
         [xi_visible, xi_hidden, gen.standard_normal((cols, rows - 2))]
     )
-    order = [0] + list(range(2, hidden_mode)) + [1] + list(range(hidden_mode, rows))
+    order = [0] + list(range(2, HIDDEN_MODE)) + [1] + list(range(HIDDEN_MODE, rows))
     V = _orthonormal_factor(raw, order)
     alpha = V.T @ xi
     if np.linalg.norm(V @ alpha - xi) > 1e-9:

@@ -93,8 +93,11 @@ SVD_RCOND = 1e-12
 # all up to cond 50, none at 80).  A `designed` F has cond(F) =
 # 1/problems.SIGMA_DECAY, about 1.43.
 GRAM_ORTHO_TOL = 1e-13
-# The optimality residual reference_solution certifies, above its rounding floor.
+# The optimality residual reference_solution certifies, above its rounding floor,
+# its iteration cap, and the spacing of its residual checks.
 REFERENCE_TOL = 1e-10
+REFERENCE_MAX_ITER = 10**6
+REFERENCE_CHECK_EVERY = 50
 
 
 def _gram_factors(
@@ -358,8 +361,6 @@ def reference_solution(
     problem: LassoProblem,
     *,
     svd: SvdFactors,
-    max_iter: int = 10**6,
-    check_every: int = 50,
 ) -> tuple[np.ndarray, float]:
     """Accelerated proximal gradient on the exact F to a residual <= tol.
 
@@ -367,10 +368,10 @@ def reference_solution(
     2015): the momentum is dropped whenever it opposes the latest step.  The
     iterate finds the support S and signs s of the optimum long before it
     converges, often within its first few steps.  So the residual of x is
-    checked after iterations 1, 2, 4, ... below ``check_every`` and then
-    every ``check_every`` iterations, and each check above tol also tries the
-    point that solves the stationarity equations on x's support,
-    (F_S^T F_S) z = F_S^T b - gamma s, zero elsewhere.
+    checked after iterations 1, 2, 4, ... below ``REFERENCE_CHECK_EVERY`` and
+    then every ``REFERENCE_CHECK_EVERY`` iterations, and each check above tol
+    also tries the point that solves the stationarity equations on x's
+    support, (F_S^T F_S) z = F_S^T b - gamma s, zero elsewhere.
     That point is returned only if it passes the same residual test; if not
     (wrong support, singular F_S^T F_S), the iteration goes on.
     The step is 1/sigma_max(F)^2, read from the caller's factors ``svd`` of F.
@@ -388,7 +389,9 @@ def reference_solution(
     ISTA had not certified two of the 38 x 500 ones at gamma 0.1 after
     200,000 iterations.
 
-    Returns (x_star, residual).  Raises if the cap is hit first.
+    Returns (x_star, residual).  Raises RuntimeError if the cap,
+    ``REFERENCE_MAX_ITER`` iterations, is hit first.  The constants are read
+    at each call.
     """
     F, b, gamma = problem.F, problem.b, problem.gamma
     if not svd.rank:
@@ -398,14 +401,14 @@ def reference_solution(
     tol = max(REFERENCE_TOL, 64 * np.finfo(float).eps * float(np.abs(h).max()))
     x = y = np.zeros(problem.cols)  # the iterate and the extrapolated point
     momentum = 1.0  # FISTA's t_k
-    for k in range(1, max_iter + 1):
+    for k in range(1, REFERENCE_MAX_ITER + 1):
         x_prev, x = x, soft_threshold(y - t * (F.T @ support_product(F, y) - h), t * gamma)
         if (y - x).dot(x - x_prev) > 0:  # the momentum opposes the step: restart
             momentum = 1.0
         momentum, prior = (1 + math.sqrt(1 + 4 * momentum**2)) / 2, momentum
         y = x + (prior - 1) / momentum * (x - x_prev)
-        early = k < check_every and k & (k - 1) == 0  # k a power of two
-        if early or k % check_every == 0:
+        early = k < REFERENCE_CHECK_EVERY and k & (k - 1) == 0  # k a power of two
+        if early or k % REFERENCE_CHECK_EVERY == 0:
             res = optimality_residual(problem, x)
             if res <= tol:
                 return x, res
@@ -428,6 +431,6 @@ def reference_solution(
     if res <= tol:
         return x, res
     raise RuntimeError(
-        f"proximal gradient did not reach residual {tol} within {max_iter} "
+        f"proximal gradient did not reach residual {tol} within {REFERENCE_MAX_ITER} "
         f"iterations (residual {res:.3e})"
     )

@@ -943,6 +943,15 @@ class TestCli:
         assert "decode self-test: pass (15 subsets" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 12  # header + one line per coded row
+        assert lines[:2] == ["worker_id,level,block,row,systematic,coefficients",
+                             '1,2,0,0,1,"1 0"']
+
+    def test_demo_encode_no_rows_prints_header(self, capsys):
+        assert main(["demo-encode", "--L", "4", "--n", "3", "--k", "0,0,0,0",
+                     "--m", "7"]) == 0
+        assert capsys.readouterr().out == (
+            "worker_id,level,block,row,systematic,coefficients\n"
+            "decode self-test: pass (15 subsets, max relative error 0.000e+00)\n")
 
     def test_demo_encode_unwritable_output_exit_3(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dump.csv"
@@ -1098,8 +1107,16 @@ class TestCli:
             ({"rank = 38": "rank = 30", "38:60": "30:60", "0,0,6,32": "0,0,6,24",
               "source = designed": "source = gaussian"},
              "source 'gaussian' gives rank 38, the config says 30"),
+            # a generated source would ignore the archive
+            ({"source = designed": "source = designed\nsource_path = /nonexistent/x.npz"},
+             "source 'designed' generates its problem; "
+             "it ignores source_path = /nonexistent/x.npz"),
+            ({"source = designed": "source = gaussian\nsource_path = /nonexistent/x.npz"},
+             "source 'gaussian' generates its problem; "
+             "it ignores source_path = /nonexistent/x.npz"),
         ],
-        ids=["designed-rank", "designed-tall", "gaussian-rank"],
+        ids=["designed-rank", "designed-tall", "gaussian-rank",
+             "designed-source-path", "gaussian-source-path"],
     )
     def test_source_rank_mismatch_exits_before_any_replication(
         self, tmp_path, capsys, monkeypatch, edits, message

@@ -40,7 +40,7 @@ class TestDesigned:
     def test_truncation_drops_fringe(self):
         # rank-15 phase optimum differs from the full optimum by roughly
         # the planted fringe scale
-        designed = designed_problem(SeededRng(3), fringe_scale=0.05)
+        designed = designed_problem(SeededRng(3))
         prob = designed.problem
         svd = SvdFactors.from_matrix(prob.F)
         Fr = truncated_dense(svd, 15)
@@ -63,13 +63,18 @@ class TestDesigned:
         np.testing.assert_array_equal(a.problem.b, b.problem.b)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            designed_problem(SeededRng(0), hidden_mode=1)
-        with pytest.raises(ValueError):
-            designed_problem(SeededRng(0), fringe_scale=0.0)
-        for fringe_size in (0, -1, 500):  # 1..cols-1 fit beside the spike
-            with pytest.raises(ValueError, match="fringe_size"):
-                designed_problem(SeededRng(0), fringe_size=fringe_size)
+        # the CLI's shape rule and text, checked before the first draw
+        for rows, cols, message in [
+            (17, 16, "source 'designed' needs rows <= cols, got 17 x 16"),
+            (12, 60, "source 'designed' needs rows >= 16, got 12"),
+            (12, 11, "source 'designed' needs rows <= cols, got 12 x 11"),  # in that order
+        ]:
+            rng = SeededRng(0)
+            state = rng.generator.bit_generator.state
+            with pytest.raises(ValueError) as err:
+                designed_problem(rng, rows=rows, cols=cols)
+            assert str(err.value) == message
+            assert rng.generator.bit_generator.state == state
 
 
 def _lasso_data(designed):

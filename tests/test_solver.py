@@ -506,9 +506,7 @@ class TestRunSequential:
 
     def test_phase_objective_descends(self):
         rng = SeededRng(77)
-        designed = designed_problem(rng, rows=12, cols=60, gamma=1.0,
-                                    sigma_top=3.0, hidden_mode=6,
-                                    fringe_size=4)
+        designed = designed_problem(rng, rows=16, cols=60, gamma=1.0)
         problem = designed.problem
         svd = SvdFactors.from_matrix(problem.F)
         cfg = Configuration(L=3, n=7, k=(3, 4, 5))
@@ -530,9 +528,7 @@ class TestRunSequential:
     def test_phase_fixed_point(self):
         # a long single truncated phase settles at the truncated problem's optimum
         rng = SeededRng(78)
-        designed = designed_problem(rng, rows=10, cols=50, gamma=1.0,
-                                    sigma_top=3.0, hidden_mode=5,
-                                    fringe_size=3)
+        designed = designed_problem(rng, rows=16, cols=50, gamma=1.0)
         problem = designed.problem
         svd = SvdFactors.from_matrix(problem.F)
         cfg = Configuration(L=2, n=13, k=(4, 6))
@@ -549,8 +545,7 @@ class TestRunSequential:
     @pytest.mark.parametrize("planted", [True, False], ids=["x_star", "zero"])
     def test_suboptimality_is_relative_norm(self, planted):
         # x_star = 0 divides by 1 instead of its norm
-        designed = designed_problem(SeededRng(79), rows=12, cols=60, gamma=1.0,
-                                    sigma_top=3.0, hidden_mode=6, fringe_size=4)
+        designed = designed_problem(SeededRng(79), rows=16, cols=60, gamma=1.0)
         x_star = designed.planted_optimum if planted else np.zeros(60)
         sched = ApproxSchedule(Configuration(L=3, n=7, k=(3, 4, 5)), [(3, 20), (12, 30)])
         trace = run_sequential(
@@ -675,10 +670,11 @@ class TestReferenceSolution:
         assert res <= 1e-10
         assert optimality_residual(prob, x) <= 1e-10
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "REFERENCE_MAX_ITER", 3)
         prob = small_problem(32, gamma=0.5)
         with pytest.raises(RuntimeError):
-            reference_solution(prob, svd=SvdFactors.from_matrix(prob.F), max_iter=3)
+            reference_solution(prob, svd=SvdFactors.from_matrix(prob.F))
 
     @pytest.mark.parametrize(
         "seed, shape",
@@ -696,22 +692,24 @@ class TestReferenceSolution:
 
     @pytest.mark.parametrize("rep", range(3))
     @pytest.mark.parametrize("gamma", [0.1, 1.0])
-    def test_gaussian_instances_certified(self, gamma, rep):
+    def test_gaussian_instances_certified(self, gamma, rep, monkeypatch):
         # the harness's draws for experiment seed 0; at gamma = 0.1 the
         # support keeps changing, and plain ISTA is still above tol at 200,000
         problem = gaussian_problem(SeededRng(0).spawn(rep, 0), rows=38, cols=500,
                                    gamma=gamma)
-        x, res = reference_solution(problem, svd=SvdFactors.from_matrix(problem.F), max_iter=20000)
+        monkeypatch.setattr(solver_module, "REFERENCE_MAX_ITER", 20000)
+        x, res = reference_solution(problem, svd=SvdFactors.from_matrix(problem.F))
         assert res <= 1e-10
         assert optimality_residual(problem, x) == res
 
-    def test_large_scale_certified_at_rounding_floor(self):
+    def test_large_scale_certified_at_rounding_floor(self, monkeypatch):
         # gamma = 1e6 scales F^T b by about 1e5, and rounding alone then keeps
         # the residual above an absolute 1e-10; the test scales with |F^T b|
         designed = designed_problem(SeededRng(0).spawn(0, 0), gamma=1e6)
         problem = designed.problem
         floor = 64 * np.finfo(float).eps * np.abs(problem.F.T @ problem.b).max()
-        x, res = reference_solution(problem, svd=SvdFactors.from_matrix(problem.F), max_iter=1000)
+        monkeypatch.setattr(solver_module, "REFERENCE_MAX_ITER", 1000)
+        x, res = reference_solution(problem, svd=SvdFactors.from_matrix(problem.F))
         assert 1e-10 < res <= floor
         assert optimality_residual(problem, x) == res
         x_opt = designed.planted_optimum
@@ -735,7 +733,8 @@ class TestReferenceSolution:
         x50, _ = reference_solution(problem, svd=svd)
         iters = self.count_calls(monkeypatch, "soft_threshold")
         residuals = self.count_calls(monkeypatch, "optimality_residual")
-        x1, res = reference_solution(problem, svd=svd, check_every=1)
+        monkeypatch.setattr(solver_module, "REFERENCE_CHECK_EVERY", 1)
+        x1, res = reference_solution(problem, svd=svd)
         assert res <= 1e-10
         assert np.linalg.norm(x1 - x50) / np.linalg.norm(x50) <= 1e-8
         # one residual per iterate, plus one per support candidate tried:

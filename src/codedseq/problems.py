@@ -38,6 +38,9 @@ CERTIFICATE_BOX = 0.2
 # Largest singular value and smallest-to-largest ratio: cond(F) = 1/SIGMA_DECAY.
 SIGMA_TOP = 4.0
 SIGMA_DECAY = 0.7
+# Rows of the right factor's random filler drawn at a time; any value gives
+# the same instance.
+_FILLER_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,16 @@ def designed_problem(
     the matching entry of alpha and column of U_raw, so F^T F, F^T b and
     |b|, hence the lasso problem and each of its rank-r truncations, are
     the same on both routes up to rounding.
+
+    On the Cholesky route the working set is two cols x rows arrays: the
+    tall matrix and V, and F is then written into the tall matrix's
+    buffer.  The tall matrix's filler columns are drawn in blocks of
+    ``_FILLER_BLOCK_ROWS`` rows, copied into place because
+    ``standard_normal(out=...)`` refuses a non-contiguous slice.  The
+    generator fills a C-order draw element by element, so successive
+    ``(block, rows - 2)`` draws consume the stream exactly as one
+    ``(cols, rows - 2)`` draw does, and the instance is the one that draw
+    gives.
     """
     DesignedProblem.check_shape(rows, cols)
     gen = rng.generator
@@ -111,9 +124,12 @@ def designed_problem(
 
     # right factor: mode 1 spans the visible certificate part, mode
     # HIDDEN_MODE the fringe-pinning part, the rest Haar-orthogonal filler
-    raw = np.column_stack(
-        [xi_visible, xi_hidden, gen.standard_normal((cols, rows - 2))]
-    )
+    raw = np.empty((cols, rows))
+    raw[:, 0] = xi_visible
+    raw[:, 1] = xi_hidden
+    for start in range(0, cols, _FILLER_BLOCK_ROWS):
+        stop = min(start + _FILLER_BLOCK_ROWS, cols)
+        raw[start:stop, 2:] = gen.standard_normal((stop - start, rows - 2))
     order = [0] + list(range(2, HIDDEN_MODE)) + [1] + list(range(HIDDEN_MODE, rows))
     V = _orthonormal_factor(raw, order)
     alpha = V.T @ xi
@@ -121,7 +137,8 @@ def designed_problem(
         raise ArithmeticError("certificate escaped the right-factor span")
 
     U_raw, _ = np.linalg.qr(gen.standard_normal((rows, rows)))
-    F = (U_raw * sigma) @ V.T
+    # V is built, so F takes over raw's buffer
+    F = np.matmul(U_raw * sigma, V.T, out=raw.reshape(rows, cols))
     # residual vector r with F^T r = gamma * xi makes x_opt exactly optimal
     b = F @ x_opt + U_raw @ (gamma * alpha / sigma)
     return DesignedProblem(
@@ -137,9 +154,12 @@ def _orthonormal_factor(raw: np.ndarray, order: list[int]) -> np.ndarray:
     is read by BLAS-3 products only and the column order is folded into the
     small C^-T.  That Q is kept only when max|Q^T Q - I| <= GRAM_ORTHO_TOL;
     otherwise, or when raw^T raw is not numerically positive definite,
-    Householder QR decides.
+    Householder QR decides.  The column norms are summed without a
+    raw-sized temporary.  Like ``np.linalg.norm(raw, axis=0)``, the einsum
+    adds each column's squares row after row, and for the two or more
+    columns of a designed raw the two are bit-equal.
     """
-    raw /= np.linalg.norm(raw, axis=0)
+    raw /= np.sqrt(np.einsum("ij,ij->j", raw, raw))
     try:
         C = np.linalg.cholesky(raw.T @ raw)
     except np.linalg.LinAlgError:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,116 @@ class TestRightFactorRoute:
         assert shapes == qr_shapes
         res = optimality_residual(designed.problem, designed.planted_optimum)
         assert res <= 1e-13
+
+
+def reference_designed_problem(rng, *, rows=38, cols=500, gamma=5.0):
+    """``designed_problem`` as it built each instance before the filler was
+    drawn in row blocks and F reused the tall matrix's buffer: one
+    ``column_stack`` of the whole draw, a separate F.  Kept as the reference
+    the instances must equal bit for bit; the module's constants are read
+    at call time, as there."""
+    problems.DesignedProblem.check_shape(rows, cols)
+    gen = rng.generator
+    sigma = problems.SIGMA_TOP * problems.SIGMA_DECAY ** (np.arange(rows) / (rows - 1))
+
+    j0 = int(gen.integers(cols))
+    s0 = float(gen.choice([-1.0, 1.0]))
+    others = np.setdiff1d(np.arange(cols), [j0])
+    fringe = gen.choice(others, size=problems.FRINGE_SIZE, replace=False)
+    fr_sign = gen.choice([-1.0, 1.0], size=problems.FRINGE_SIZE)
+    fr_values = (
+        problems.FRINGE_SCALE * problems.SPIKE / np.sqrt(problems.FRINGE_SIZE)
+        * fr_sign * (0.7 + 0.6 * gen.random(problems.FRINGE_SIZE))
+    )
+    x_opt = np.zeros(cols)
+    x_opt[j0] = problems.SPIKE * s0
+    x_opt[fringe] = fr_values
+
+    xi = gen.uniform(-problems.CERTIFICATE_BOX, problems.CERTIFICATE_BOX, size=cols)
+    xi[j0] = s0
+    xi[fringe] = np.sign(fr_values)
+    xi_hidden = np.zeros(cols)
+    xi_hidden[fringe] = np.sign(fr_values)
+    xi_visible = xi - xi_hidden
+
+    raw = np.column_stack(
+        [xi_visible, xi_hidden, gen.standard_normal((cols, rows - 2))]
+    )
+    hidden = problems.HIDDEN_MODE
+    order = [0] + list(range(2, hidden)) + [1] + list(range(hidden, rows))
+    V = reference_orthonormal_factor(raw, order)
+    alpha = V.T @ xi
+    if np.linalg.norm(V @ alpha - xi) > 1e-9:
+        raise ArithmeticError("certificate escaped the right-factor span")
+
+    U_raw, _ = np.linalg.qr(gen.standard_normal((rows, rows)))
+    F = (U_raw * sigma) @ V.T
+    b = F @ x_opt + U_raw @ (gamma * alpha / sigma)
+    return problems.DesignedProblem(
+        problem=problems.LassoProblem(F=F, b=b, gamma=gamma), planted_optimum=x_opt
+    )
+
+
+def reference_orthonormal_factor(raw, order):
+    """``_orthonormal_factor`` with ``np.linalg.norm``'s raw-sized temporaries."""
+    raw /= np.linalg.norm(raw, axis=0)
+    try:
+        C = np.linalg.cholesky(raw.T @ raw)
+    except np.linalg.LinAlgError:
+        C = None
+    if C is not None:
+        V = raw @ np.linalg.inv(C).T[:, order]
+        if np.abs(V.T @ V - np.eye(V.shape[1])).max() <= problems.GRAM_ORTHO_TOL:
+            return V
+    return np.linalg.qr(raw)[0][:, order]
+
+
+class TestAgainstReference:
+    """Each instance, and the stream it leaves behind, is the one the
+    single-draw construction gives, bit for bit."""
+
+    # 40 x 600 and 20 x 513 draw the filler in two blocks, 20 x 512 in one
+    @pytest.mark.parametrize(
+        "rows,cols", [(16, 16), (38, 500), (40, 600), (20, 512), (20, 513), (150, 5000)]
+    )
+    @pytest.mark.parametrize("route", ["gram", "householder"])
+    def test_bit_identical(self, monkeypatch, rows, cols, route):
+        if route == "householder":
+            monkeypatch.setattr(problems, "GRAM_ORTHO_TOL", 0.0)
+        got_rng, want_rng = SeededRng(6), SeededRng(6)
+        got = designed_problem(got_rng, rows=rows, cols=cols)
+        want = reference_designed_problem(want_rng, rows=rows, cols=cols)
+        np.testing.assert_array_equal(got.problem.F, want.problem.F)
+        np.testing.assert_array_equal(got.problem.b, want.problem.b)
+        np.testing.assert_array_equal(got.planted_optimum, want.planted_optimum)
+        np.testing.assert_array_equal(
+            got_rng.generator.standard_normal(3), want_rng.generator.standard_normal(3)
+        )
+
+    def test_working_set_is_two_tall_arrays(self, monkeypatch):
+        # bigf's shape; one cols x rows array of float64 is 5.72 MiB.  Until
+        # the Gram factorisation the working set is the tall matrix plus one
+        # filler block (no stacked copy, no squared copy for the norms);
+        # after it, the tall matrix and V, with F written into the first.
+        rows, cols = 150, 5000
+        tall = 8 * rows * cols
+        designed_problem(SeededRng(0), rows=rows, cols=cols)  # lazy imports
+        before_gram = []
+        real_cholesky = np.linalg.cholesky
+
+        def spy(a):
+            before_gram.append(tracemalloc.get_traced_memory()[1])
+            return real_cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        tracemalloc.start()
+        try:
+            designed_problem(SeededRng(0), rows=rows, cols=cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert before_gram[0] <= 1.5 * tall, before_gram[0] / tall
+        assert peak <= 2.5 * tall, peak / tall
 
 
 class TestGaussian:

@@ -105,15 +105,17 @@ def sample_round(model: LatencyModel, L: int, rng: SeededRng) -> np.ndarray:
 
 
 def order_stat_mean(model: LatencyModel, L: int, ell: int) -> float:
-    """Mean of T_(ell) for i.i.d. exponential latencies: (1/rate) * sum_{j=L-ell+1}^{L} 1/j."""
-    if model.kind != "exponential":
-        raise ValueError(
-            f"closed-form order-statistic mean needs an exponential model, "
-            f"got {model.kind!r}"
-        )
+    """Mean of T_(ell), the ell-th smallest of L i.i.d. latencies, in closed
+    form for each law: (1/rate) * sum_{j=L-ell+1}^{L} 1/j for exponential,
+    shift plus that for shifted-exponential, and value for deterministic."""
     if not 1 <= ell <= L:
         raise ValueError(f"ell={ell} outside 1..{L}")
-    return sum(1.0 / j for j in range(L - ell + 1, L + 1)) / model.rate
+    if model.kind == "deterministic":
+        return model.value
+    mean = sum(1.0 / j for j in range(L - ell + 1, L + 1)) / model.rate
+    if model.kind == "shifted-exponential":
+        mean += model.shift
+    return mean
 
 
 def simulate_wait(
@@ -126,6 +128,7 @@ def simulate_wait(
     if not 1 <= ell_target <= L:  # checked first, so a rejected call draws nothing
         raise ValueError(f"ell={ell_target} outside 1..{L}")
     times = sample_round(model, L, rng)
-    order = times.argsort(kind="stable").tolist()
-    responders = tuple(sorted(w + 1 for w in order[:ell_target]))
-    return float(times[order[ell_target - 1]]), responders
+    first = times.argsort(kind="stable").tolist()[:ell_target]
+    elapsed = float(times[first[-1]])
+    first.sort()
+    return elapsed, tuple([w + 1 for w in first])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +46,9 @@ DUMP_COLUMNS = ("worker_id", "level", "block", "row", "systematic", "coefficient
 SUPPORT_MIN_ENTRIES = 1 << 16
 SUPPORT_COLS_PER_NONZERO = 16
 
+_FLOAT = np.dtype(float)
+_WORKER_ID = attrgetter("worker_id")
+
 
 class InfeasibleConfiguration(ValueError):
     """The configuration violates the row-budget bound."""
@@ -64,9 +67,11 @@ class WorkerMatrix:
     layout: Layout
 
 
-@dataclass(frozen=True)
-class WorkerResult:
-    """One worker's multiplication output and the layout that placed its rows."""
+class WorkerResult(NamedTuple):
+    """One worker's multiplication output and the layout that placed its rows.
+
+    A named tuple: one is built per responder per round, and a tuple is the
+    cheapest immutable record to build."""
 
     worker_id: int
     y: np.ndarray
@@ -253,7 +258,8 @@ def support_product(A: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def worker_multiply(worker: WorkerMatrix, z: np.ndarray) -> WorkerResult:
     """One worker's subtask: multiply its stored rows by z."""
-    z = np.asarray(z, dtype=float)
+    if type(z) is not np.ndarray or z.dtype is not _FLOAT:  # else used as it is
+        z = np.asarray(z, dtype=float)
     rows = worker.rows
     if z.ndim != 1 or z.shape[0] != rows.shape[1]:
         raise ValueError(
@@ -280,8 +286,10 @@ def decode_prefix(results: Sequence[WorkerResult]) -> np.ndarray:
     L = len(starts) - 1  # worker w stores rows starts[w-1]:starts[w]
     if ell > L:
         raise ValueError(f"got {ell} results for a cluster of {L} workers")
-    results = sorted(results, key=attrgetter("worker_id"))
-    ids = tuple(r.worker_id for r in results)  # ascending
+    ids = tuple(map(_WORKER_ID, results))
+    if sorted(ids) != list(ids):  # simulate_wait's responders come ascending
+        results = sorted(results, key=_WORKER_ID)
+        ids = tuple(map(_WORKER_ID, results))
     if len(set(ids)) != ell:
         raise ValueError(f"worker results must come from distinct workers, got {ids}")
     if not 1 <= ids[0] <= ids[-1] <= L:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
 import os
 import zipfile
 from dataclasses import dataclass
@@ -213,23 +214,56 @@ def _load_source(path: str) -> tuple[np.ndarray, np.ndarray]:
     return F, b
 
 
-def trace_rows(run_id: str, algorithm: str, trace: RunTrace) -> list[list[str]]:
-    """One run's CSV rows, fields in TRACE_COLUMNS order."""
-    fmt = "%.17g".__mod__  # for a float, the same text as f"{v:.17g}"
-    columns = [map(fmt if parse is float else str, getattr(trace, name).tolist())
-               for name, parse in TRACE_COLUMNS[3:]]
-    return [[run_id, algorithm, str(k), *values]
-            for k, values in enumerate(zip(*columns), start=1)]
+# Rows a trace run is formatted in per % operation (see write_trace_csv).
+_BLOCK_ROWS = 32
 
 
-def write_trace_csv(path: "str | Path", rows: Iterable[list[str]]) -> None:
-    """Atomic write: full temp file then rename."""
+def _run_text(run_id: str, algorithm: str, trace: RunTrace) -> Iterator[str]:
+    """One run's CSV text, fields in TRACE_COLUMNS order, _BLOCK_ROWS rows at
+    a time."""
+    quoted = io.StringIO()
+    csv.writer(quoted, lineterminator="\n").writerow([run_id, algorithm])
+    labels = quoted.getvalue()[:-1].replace("%", "%%")
+    row = ",".join([labels] + ["%d" if parse is int else "%.17g"
+                               for _, parse in TRACE_COLUMNS[2:]]) + "\n"
+    table = np.empty((len(trace), len(TRACE_COLUMNS) - 2))
+    table[:, 0] = np.arange(1, len(trace) + 1)
+    for j, (name, _) in enumerate(TRACE_COLUMNS[3:], start=1):
+        table[:, j] = getattr(trace, name)
+    block = row * _BLOCK_ROWS
+    for start in range(0, len(table), _BLOCK_ROWS):
+        values = table[start : start + _BLOCK_ROWS]
+        fmt = block if len(values) == _BLOCK_ROWS else row * len(values)
+        yield fmt % tuple(values.ravel().tolist())
+
+
+def write_trace_csv(
+    path: "str | Path", runs: Iterable[tuple[str, str, RunTrace]]
+) -> None:
+    """Write the ``(run_id, algorithm, trace)`` runs as one trace CSV, in the
+    order given: atomic, a full temp file then a rename.
+
+    The bytes are those csv.writer(..., lineterminator="\\n") writes for the
+    rows ``[run_id, algorithm, iteration, phase, *columns]``, with integers as
+    str gives them and floats as "%.17g" does (the f"{v:.17g}" text).  The two
+    labels are quoted by that very writer, once per run, and then
+    %-escaped; a number's text never holds a comma, a quote or a line break,
+    so csv.writer would write it bare.  Each block of at most _BLOCK_ROWS
+    rows is one % operation on one format string.  A whole run in one
+    operation holds the run's full text and a tuple of all its numbers at
+    once: the benchmark's example1 peak RSS read 45.0-45.1 MiB that way,
+    against 43.7-43.9 MiB with 64-row blocks.  Over 40 wide8 invocations in
+    one process, 64-row blocks still let the peak creep to 44.4 MiB against
+    the per-row writer's 44.0, while 8- to 32-row blocks ended at 43.8-43.9;
+    32 rows cost about 0.3 ms more than 64 per 10-replication example1 write.
+    """
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         with open(tmp, "w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+            for run in runs:
+                fh.writelines(_run_text(*run))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -237,7 +271,7 @@ def write_trace_csv(path: "str | Path", rows: Iterable[list[str]]) -> None:
 
 
 def _trace_runs(path: "str | Path") -> Iterator[tuple[str, str, list[list]]]:
-    """A trace file's runs in file order, as trace_rows writes them: one
+    """A trace file's runs in file order, as write_trace_csv writes them: one
     ``(run_id, algorithm, columns)`` per run, ``columns`` one parsed list per
     TRACE_COLUMNS column.  Only one run's rows are held at a time.
 
@@ -345,11 +379,12 @@ def summarize_trace_file(
 ) -> ExperimentSummary:
     """Aggregate a trace file into replication means (no hidden state).
 
-    The file is read one run at a time, in the order trace_rows writes it; a
-    trace that breaks that order is refused (see _trace_runs).  A run reaches
-    the threshold at the cum_time of its first iteration at or below it and
-    ends at its last iteration's suboptimality.  An unknown algorithm, or a
-    trace that does not pair sequential and baseline runs, raises ValueError.
+    The file is read one run at a time, in the order write_trace_csv writes
+    it; a trace that breaks that order is refused (see _trace_runs).  A run
+    reaches the threshold at the cum_time of its first iteration at or below
+    it and ends at its last iteration's suboptimality.  An unknown algorithm,
+    or a trace that does not pair sequential and baseline runs, raises
+    ValueError.
     """
     cum_at, sub_at = _TRACE_NAMES.index("cum_time"), _TRACE_NAMES.index("suboptimality")
     times = {"sequential": [], "baseline": []}
@@ -431,11 +466,12 @@ def run_experiment(
             runs += [(f"{run_tag}-base", "baseline", base),
                      (f"{run_tag}-seq", "sequential", seq)]
 
-        # formatting one run at a time as the file is written keeps at most
-        # one run's rows as text, so memory grows with replications only by
-        # the kept arrays: about 22 KB per example1 replication, against the
-        # 105 KB of CSV it writes
-        write_trace_csv(output, (row for run in runs for row in trace_rows(*run)))
+        # the writer holds one run's numbers and at most _BLOCK_ROWS rows of
+        # text at a time, so memory grows with replications only by the kept
+        # runs: 27.6 KB per example1 replication (tracemalloc peak, 2 against
+        # 10 replications), against the 105.6 KB of CSV it writes; the write
+        # itself peaks 148 KB above its start (470 KB with per-row lists)
+        write_trace_csv(output, runs)
         return summarize_trace_file(output, config.label, config.summary_threshold)
     except ValueError as exc:  # the input was decided valid, so the run failed
         raise RuntimeError(str(exc)) from exc

@@ -75,7 +75,8 @@ class LassoProblem:
         return self.F.shape[1]
 
     def objective(self, x: np.ndarray) -> float:
-        r = support_product(self.F, x) - self.b
+        r = support_product(self.F, x)
+        r -= self.b
         return 0.5 * float(r.dot(r)) + self.gamma * float(np.abs(x).sum())
 
 
@@ -158,7 +159,11 @@ def soft_threshold(v: np.ndarray, theta: float) -> np.ndarray:
     """Elementwise shrink toward zero by theta; the prox of theta*||.||_1."""
     if theta < 0:
         raise ValueError(f"threshold must be >= 0, got {theta}")
-    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+    out = np.absolute(v, dtype=float)  # one buffer; an int v gives floats, as before
+    out -= theta
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -212,11 +217,21 @@ class CodedMatvecSystem:
     config: Configuration
     svd: SvdFactors
     workers: tuple[WorkerMatrix, ...] = field(init=False)
+    _completions: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h_L = make_layout(self.config).offsets[-1]
         workers = encode_all(self.svd.V[:, :h_L].T, self.config)
         object.__setattr__(self, "workers", tuple(workers))
+
+    def completion(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """(V_r, sigma_r^2) of the rank-r truncation, built once per rank."""
+        pair = self._completions.get(rank)
+        if pair is None:
+            pair = self._completions[rank] = (self.svd.V[:, :rank],
+                                              self.svd.sigma[:rank] ** 2)
+        return pair
 
 
 def sequential_matvec(
@@ -241,8 +256,10 @@ def sequential_matvec(
         raise RuntimeError(
             f"decoded {t.shape[0]} components, phase needs {phase.rank}"
         )
-    r = phase.rank
-    return system.svd.V[:, :r].dot(system.svd.sigma[:r] ** 2 * t[:r]), elapsed
+    V_r, sigma2 = system.completion(phase.rank)
+    t_r = t[: phase.rank]  # t is decode_prefix's fresh array
+    t_r *= sigma2
+    return V_r.dot(t_r), elapsed
 
 
 @dataclass(eq=False)
@@ -329,7 +346,9 @@ def run_sequential(
                     model, schedule.config.L, phase.ell, second_clock
                 )
                 elapsed += second
-            x = soft_threshold(x - step * (g - offset), theta)
+            g -= offset  # g is sequential_matvec's fresh array
+            g *= step
+            x = soft_threshold(x - g, theta)
             trace.iter_time[k] = elapsed
             trace.objective[k] = problem.objective(x)
             d = x - x_star  # sqrt(d . d) is what np.linalg.norm(d) computes

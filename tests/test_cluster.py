@@ -130,9 +130,20 @@ class TestOrderStatMean:
         m = LatencyModel.exponential(4.0)
         assert order_stat_mean(m, 4, 4) == pytest.approx(25 / 48)
 
-    def test_unsupported_kind(self):
-        with pytest.raises(ValueError):
-            order_stat_mean(LatencyModel.deterministic(1.0), 4, 2)
+    def test_deterministic_and_shifted_laws(self):
+        shifted = LatencyModel("shifted-exponential", rate=2.0, shift=0.5)
+        for ell in range(1, 5):
+            assert order_stat_mean(LatencyModel.deterministic(1.5), 4, ell) == 1.5
+            assert order_stat_mean(shifted, 4, ell) == 0.5 + order_stat_mean(
+                LatencyModel.exponential(2.0), 4, ell)
+
+    @pytest.mark.parametrize("model", [LatencyModel.deterministic(1.0),
+                                       LatencyModel("shifted-exponential", shift=0.5)],
+                             ids=lambda m: m.kind)
+    def test_every_law_rejects_ell_outside_the_cluster(self, model):
+        for ell in (0, 5):
+            with pytest.raises(ValueError, match=f"ell={ell} outside 1..4"):
+                order_stat_mean(model, 4, ell)
 
     @pytest.mark.parametrize("ell", [0, 5])
     def test_rejects_ell_outside_the_cluster(self, ell):
@@ -151,6 +162,17 @@ class TestOrderStatMean:
             col = samples[:, ell - 1]
             stderr = col.std(ddof=1) / np.sqrt(n)
             assert abs(col.mean() - order_stat_mean(m, 4, ell)) <= 3 * stderr
+
+    def test_monte_carlo_agreement_shifted(self):
+        # wide8's law: shift 0.5, rate 1, L = 8
+        m = LatencyModel("shifted-exponential", rate=1.0, shift=0.5)
+        clock = SeededRng(125)
+        n = 20000
+        samples = np.sort([sample_round(m, 8, clock) for _ in range(n)], axis=1)
+        for ell in range(1, 9):
+            col = samples[:, ell - 1]
+            stderr = col.std(ddof=1) / np.sqrt(n)
+            assert abs(col.mean() - order_stat_mean(m, 8, ell)) <= 3 * stderr
 
 
 class TestSimulateWait:

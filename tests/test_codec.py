@@ -294,6 +294,27 @@ class TestWorkerMultiply:
         with pytest.raises(ValueError):
             worker_multiply(workers[0], np.zeros(4))
 
+    @pytest.mark.parametrize("z", [[3, -1, 0, 2, 5], np.array([3, -1, 0, 2, 5]),
+                                   np.array([3, -1, 0, 2, 5], dtype=np.float32)],
+                             ids=["list", "int-array", "float32-array"])
+    def test_converts_other_vectors_to_float(self, z):
+        # only a float64 ndarray is multiplied as it is
+        cfg = Configuration(L=2, n=2, k=(1, 2))
+        workers = encode_all(random_source(cfg, 5, 1), cfg)
+        want = workers[1].rows @ np.array([3.0, -1.0, 0.0, 2.0, 5.0])
+        res = worker_multiply(workers[1], z)
+        assert res.y.dtype == np.float64
+        np.testing.assert_array_equal(res.y, want)
+
+    @pytest.mark.parametrize("z", [np.zeros((5, 1)), np.zeros((1, 5)), np.zeros(6),
+                                   [0.0] * 4, np.float64(1.0)],
+                             ids=["column", "row", "long", "short-list", "scalar"])
+    def test_refuses_a_vector_of_the_wrong_shape(self, z):
+        cfg = Configuration(L=2, n=2, k=(1, 2))
+        workers = encode_all(random_source(cfg, 5, 1), cfg)
+        with pytest.raises(ValueError, match="does not match worker matrix with 5 columns"):
+            worker_multiply(workers[0], z)
+
 
 class GatherSpy(np.ndarray):
     """A matrix that records whether a product gathered some of its columns."""
@@ -613,6 +634,59 @@ class TestDecode:
             h = make_layout(other).offsets[ell]
             np.testing.assert_allclose(decode_prefix(foreign[:ell]), A[:h] @ z,
                                        rtol=1e-10, atol=1e-10)
+
+
+def refusal_case(case):
+    """Results of L = 4 workers holding one defect, listed with ascending ids,
+    the error decode_prefix must raise and its message."""
+    cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
+    z = np.random.default_rng(2).standard_normal(7)
+    good = [worker_multiply(w, z) for w in encode_all(random_source(cfg, 7, 1), cfg)]
+    forge = type(good[0])
+    if case == "duplicate":
+        return [good[0], good[1], good[1], good[3]], ValueError, "distinct workers"
+    if case in ("id-0", "id-5"):
+        bad = forge(worker_id=int(case[-1]), y=good[0].y, layout=good[0].layout)
+        results = [bad, *good[1:3]] if case == "id-0" else [*good[1:3], bad]
+        return results, ValueError, "worker ids must lie in 1..4"
+    if case == "mixed-layouts":
+        # same row count on every worker, so only the provenance differs
+        other = Configuration(L=4, n=3, k=(0, 4, 0, 4))
+        foreign = [worker_multiply(w, z) for w in encode_all(random_source(other, 7, 1), other)]
+        # the first result listed sets the layout, so either worker can be named
+        return ([good[0], foreign[1], good[2]], InsufficientResults,
+                "does not hold the coded rows the layout places there")
+    short = forge(worker_id=3, y=good[2].y[:-1], layout=good[2].layout)
+    return [good[0], good[1], short], InsufficientResults, "worker 3:"
+
+
+class TestDecodeRefusalsInAnyOrder:
+    """decode_prefix skips its sort when the ids come ascending, as
+    simulate_wait gives them; every check must still run on that path."""
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    @pytest.mark.parametrize(
+        "case", ["duplicate", "id-0", "id-5", "mixed-layouts", "wrong-rows"])
+    def test_refused(self, case, order):
+        results, error, message = refusal_case(case)
+        if order == "shuffled":
+            results = results[1:] + results[:1]  # rotated, so not ascending
+            ids = [r.worker_id for r in results]
+            assert ids != sorted(ids)
+        with pytest.raises(error, match=message):
+            decode_prefix(results)
+
+    def test_ascending_and_shuffled_results_decode_alike(self):
+        cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
+        layout = make_layout(cfg)
+        layout.decoders.clear()
+        z = np.random.default_rng(2).standard_normal(7)
+        results = [worker_multiply(w, z) for w in encode_all(random_source(cfg, 7, 1), cfg)]
+        chosen = [results[0], results[2], results[3]]
+        want = decode_prefix(chosen)
+        for order in permutations(chosen):
+            assert decode_prefix(order).tobytes() == want.tobytes()
+        assert list(layout.decoders) == [(1, 3, 4)]  # one key, in ascending order
 
 
 class TestDump:

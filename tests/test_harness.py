@@ -17,6 +17,7 @@ from codedseq.feasibility import Configuration, first_feasible
 from codedseq.harness import (
     ExperimentConfig,
     ExperimentSummary,
+    TRACE_COLUMNS,
     TRACE_HEADER,
     make_preset,
     parse_config_file,
@@ -24,7 +25,6 @@ from codedseq.harness import (
     resolve_configuration,
     run_experiment,
     summarize_trace_file,
-    trace_rows,
     validate_experiment,
     write_trace_csv,
 )
@@ -116,6 +116,24 @@ def sorted_summary(path, label, threshold):
         mean_final_suboptimality=float(np.mean(finals["sequential"])),
         mean_final_suboptimality_baseline=float(np.mean(finals["baseline"])),
     )
+
+
+def reference_trace_rows(run_id, algorithm, trace):
+    """The per-row renderer write_trace_csv replaced, verbatim: one run's
+    CSV rows as lists of text, fields in TRACE_COLUMNS order."""
+    fmt = "%.17g".__mod__  # for a float, the same text as f"{v:.17g}"
+    columns = [map(fmt if parse is float else str, getattr(trace, name).tolist())
+               for name, parse in TRACE_COLUMNS[3:]]
+    return [[run_id, algorithm, str(k), *values]
+            for k, values in enumerate(zip(*columns), start=1)]
+
+
+def write_rows(path, rows):
+    """A trace file of rows of text, rendered by the csv.writer dialect whose
+    bytes write_trace_csv reproduces: the header, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(TRACE_HEADER + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def assert_summary_matches_sorted(path, label, threshold):
@@ -272,7 +290,7 @@ class TestTraceIO:
             ["a-base", "baseline", "2", "1", "1", "1.5", "2", "0.01"],
         ]
         path = tmp_path / "t.csv"
-        write_trace_csv(path, rows)
+        write_rows(path, rows)
         back = read_trace_csv(path)
         assert back[0]["iter_time"] == 0.12345678901234567
         assert back[1]["objective"] == 2.0
@@ -284,11 +302,13 @@ class TestTraceIO:
         with pytest.raises(ValueError):
             read_trace_csv(path)
 
-    def test_trace_rows_format_like_fstring(self):
+    def test_trace_rows_format_like_fstring(self, tmp_path):
         values = np.array([-0.0, 5e-324, 1e308, 0.1, 3.0, 1 / 3, np.inf, np.nan])
         trace = RunTrace(lengths=(1,) * 8, iter_time=values, objective=values[::-1],
                          suboptimality=values)
-        rows = trace_rows("r", "sequential", trace)
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, [("r", "sequential", trace)])
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         assert [row[:4] for row in rows[:2]] == [["r", "sequential", "1", "1"],
                                                  ["r", "sequential", "2", "2"]]
         columns = (trace.iter_time, trace.cum_time, trace.objective, trace.suboptimality)
@@ -298,6 +318,33 @@ class TestTraceIO:
         assert [row[4] for row in rows[1:6]] == [
             "4.9406564584124654e-324", "1e+308", "0.10000000000000001", "3",
             "0.33333333333333331"]
+
+    # labels that csv.writer quotes (comma, quote, line break), one that must
+    # survive % formatting, and an empty one
+    LABELS = [("a-base", "baseline"), ("r,1", 'say "seq"'), ("line\nbreak", "100%d"),
+              ("%s%%", ""), ("", "sequential")]
+
+    @pytest.mark.parametrize("rows", sorted({1, 63, 64, 65, 129, *(
+        n * harness_module._BLOCK_ROWS + d for n in (1, 2) for d in (-1, 0, 1))}))
+    def test_bytes_match_the_per_row_csv_writer(self, tmp_path, rows):
+        runs = [(run_id, alg, special_trace(rows, shift))
+                for shift, (run_id, alg) in enumerate(self.LABELS)]
+        path, want = tmp_path / "t.csv", tmp_path / "want.csv"
+        write_trace_csv(path, runs)
+        write_rows(want, [row for run in runs for row in reference_trace_rows(*run)])
+        assert path.read_bytes() == want.read_bytes()
+        back = read_trace_csv(path)
+        assert len(back) == rows * len(runs)
+        assert [(row["run_id"], row["algorithm"]) for row in back[::rows]] == self.LABELS
+        for name in ("iter_time", "cum_time", "objective", "suboptimality"):
+            np.testing.assert_array_equal(
+                [row[name] for row in back],
+                np.concatenate([getattr(trace, name) for _, _, trace in runs]))
+
+    def test_empty_run_writes_no_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, [("r", "baseline", special_trace(0))])
+        assert path.read_text() == TRACE_HEADER + "\n"
 
     @pytest.mark.parametrize("fields", [6, 9], ids=["short", "long"])
     def test_wrong_field_count_names_the_line(self, tmp_path, fields):
@@ -320,16 +367,16 @@ class TestTraceIO:
     ], ids=["unknown-algorithm", "baseline-only", "sequential-only", "unequal", "empty"])
     def test_summary_rejects_unpaired_runs(self, tmp_path, algorithms, message):
         path = tmp_path / "t.csv"
-        write_trace_csv(path, [[f"r{i}", alg, "1", "1", "1", "1", "2", "0.1"]
-                               for i, alg in enumerate(algorithms)])
+        write_rows(path, [[f"r{i}", alg, "1", "1", "1", "1", "2", "0.1"]
+                          for i, alg in enumerate(algorithms)])
         with pytest.raises(ValueError, match=message):
             summarize_trace_file(path, "custom", 1e-3)
 
     def test_summary_rejects_run_with_two_algorithms(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_trace_csv(path, [["r0", "baseline", "1", "1", "1", "1", "2", "0.1"],
-                               ["r0", "sequential", "2", "1", "1", "2", "2", "0.1"],
-                               ["r1", "sequential", "1", "1", "1", "1", "2", "0.1"]])
+        write_rows(path, [["r0", "baseline", "1", "1", "1", "1", "2", "0.1"],
+                          ["r0", "sequential", "2", "1", "1", "2", "2", "0.1"],
+                          ["r1", "sequential", "1", "1", "1", "1", "2", "0.1"]])
         message = ("trace run 'r0' names more than one algorithm: "
                    "'baseline', 'sequential' at line 3")
         with pytest.raises(ValueError, match=message):
@@ -348,7 +395,7 @@ class TestTraceIO:
         bad = list(good)
         bad[TRACE_HEADER.split(",").index(column)] = text
         path = tmp_path / "t.csv"
-        write_trace_csv(path, [good, bad])
+        write_rows(path, [good, bad])
         message = f"trace line 3 {column} {text!r} is not {form}"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_trace_csv(path)
@@ -358,10 +405,27 @@ class TestTraceIO:
     def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("earlier trace\n")
-        with pytest.raises(csv.Error):
-            write_trace_csv(path, [1])  # a row must be iterable
+
+        def runs():  # fails after the first run's rows are written
+            yield "r0-base", "baseline", special_trace(3)
+            raise RuntimeError("replication failed")
+
+        with pytest.raises(RuntimeError, match="replication failed"):
+            write_trace_csv(path, runs())
         assert path.read_text() == "earlier trace\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+SPECIAL_VALUES = (-0.0, 5e-324, 1e308, np.nan, np.inf, 0.1, 1 / 3, 2.5e-17)
+
+
+def special_trace(rows, shift=0):
+    """A RunTrace of ``rows`` iterations in phases of at most 40 whose
+    columns cycle through SPECIAL_VALUES, starting ``shift`` values in."""
+    lengths = tuple(min(40, rows - start) for start in range(0, rows, 40))
+    values = np.resize(np.roll(SPECIAL_VALUES, -shift), rows)
+    return RunTrace(lengths=lengths, iter_time=values, objective=values[::-1].copy(),
+                    suboptimality=np.roll(values, 1))
 
 
 def trace_row(run_id, iteration, sub="0.1"):
@@ -387,8 +451,8 @@ class TestSummaryFold:
         subs = {"s0": ["0.5", "0.01", "0.005", "0.02"], "b0": ["nan", "0.2", "0.1"],
                 "s1": ["nan"], "b1": ["0.05", "0.05", "nan"]}
         path = tmp_path / "t.csv"
-        write_trace_csv(path, [trace_row(run_id, k, sub) for run_id, run in subs.items()
-                               for k, sub in enumerate(run, start=1)])
+        write_rows(path, [trace_row(run_id, k, sub) for run_id, run in subs.items()
+                          for k, sub in enumerate(run, start=1)])
         for threshold in (0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0):
             assert_summary_matches_sorted(path, "custom", threshold)
         summary = summarize_trace_file(path, "custom", 0.01)
@@ -413,11 +477,11 @@ class TestSummaryFold:
                     sub = rng.choice(["nan", "0", "1e-3", str(rng.random())])
                     rows.append([run_id, alg, str(k), "1", "1",
                                  repr(rng.uniform(0, 10)), "1", sub])
-            write_trace_csv(path, rows)
+            write_rows(path, rows)
             for threshold in (0.0, 1e-3, 0.5, 2.0):
                 assert_summary_matches_sorted(path, "custom", threshold)
             rng.shuffle(rows)
-            write_trace_csv(path, rows)
+            write_rows(path, rows)
             try:
                 read_trace_csv(path)
             except ValueError as err:
@@ -440,7 +504,7 @@ class TestSummaryFold:
     def test_refuses_runs_out_of_written_order(self, tmp_path, rows, message):
         # the summary would otherwise need a rule for which of two rows counts
         path = tmp_path / "t.csv"
-        write_trace_csv(path, rows)
+        write_rows(path, rows)
         with pytest.raises(ValueError, match=message):
             read_trace_csv(path)
         with pytest.raises(ValueError, match=message):

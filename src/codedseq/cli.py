@@ -7,6 +7,9 @@ Subcommands:
   oracle-check  sweep the closed-form row count against the brute-force oracle
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 runtime failure.
+Every command leaves through main, the one place an exit code is chosen: a
+command only prints its output or raises, and a command that writes a file
+decides everything before it writes.
 """
 from __future__ import annotations
 
@@ -25,12 +28,15 @@ from .feasibility import Configuration, check_feasible, min_rows_oracle, row_cou
 from .feasibility import ORACLE_MAX_ROWS, ORACLE_MAX_WORKERS
 from .harness import (
     PRESET_NAMES,
+    _write_atomically,
     make_preset,
     parse_config_file,
     run_experiment,
 )
 
 USAGE_ERROR, VALIDATION_ERROR, RUNTIME_ERROR = 1, 2, 3
+# the largest relative error demo-encode's self-test accepts from a decode
+SELF_TEST_TOLERANCE = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,17 +53,17 @@ def _parse_k(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad level counts {text!r}") from exc
 
 
-def _cmd_feasible(args) -> int:
+def _cmd_feasible(args) -> None:
     cfg = Configuration(L=args.L, n=args.n, k=args.k)
     budget = check_feasible(cfg)
     for i, (k_i, s_i) in enumerate(zip(cfg.k, budget.s), start=1):
         print(f"level {i}: k={k_i} s={s_i}")
     print(f"total {budget.total} capacity {budget.capacity}")
     print(f"feasible: {'yes' if budget.feasible else 'no'}")
-    return 0 if budget.feasible else VALIDATION_ERROR
+    make_layout(cfg)  # refuses an infeasible configuration, as every command does
 
 
-def _cmd_demo_encode(args) -> int:
+def _cmd_demo_encode(args) -> None:
     cfg = Configuration(L=args.L, n=args.n, k=args.k)
     h = make_layout(cfg).offsets  # level i is rows h[i-1]:h[i] of A
     if args.m < 1:
@@ -65,19 +71,6 @@ def _cmd_demo_encode(args) -> int:
     gen = SeededRng(args.seed).generator
     A = gen.standard_normal((h[-1], args.m))
     workers = encode_all(A, cfg)
-
-    lines = [",".join(DUMP_COLUMNS)]
-    for rec in dump_rows(cfg):  # the coefficients, the one text field, are quoted
-        fields = (rec[key] for key in DUMP_COLUMNS)
-        lines.append(",".join(f'"{v}"' if isinstance(v, str) else str(v) for v in fields))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            raise OSError(f"cannot write --output: {exc}") from exc
-    else:
-        sys.stdout.write(text)
 
     z = gen.standard_normal(args.m)
     results = [worker_multiply(w, z) for w in workers]
@@ -92,36 +85,40 @@ def _cmd_demo_encode(args) -> int:
                 err = float(np.abs(block - truth).max()) / denom if truth.size else 0.0
                 worst = max(worst, err)
             checked += 1
-    ok = worst <= 1e-8
-    print(f"decode self-test: {'pass' if ok else 'FAIL'} "
-          f"({checked} subsets, max relative error {worst:.3e})")
-    return 0 if ok else RUNTIME_ERROR
+    outcome = f"({checked} subsets, max relative error {worst:.3e})"
+    if not worst <= SELF_TEST_TOLERANCE:  # decided before anything is written
+        raise RuntimeError(f"decode self-test: FAIL {outcome}")
+
+    # the coefficients, the one text field, are quoted
+    chunks = [",".join(DUMP_COLUMNS) + "\n"] + [
+        ",".join(f'"{v}"' if isinstance(v, str) else str(v) for v in row) + "\n"
+        for row in dump_rows(cfg)]
+    if args.output:
+        try:
+            _write_atomically(args.output, chunks)
+        except OSError as exc:
+            raise OSError(f"cannot write --output: {exc}") from exc
+    else:
+        sys.stdout.writelines(chunks)
+    print(f"decode self-test: pass {outcome}")
 
 
-def _cmd_experiment(args) -> int:
-    if args.preset == "custom":
-        if not args.config:
-            print("custom experiments need --config FILE", file=sys.stderr)
-            return USAGE_ERROR
+def _cmd_experiment(args) -> None:
+    if args.config:  # main has checked that --config comes with custom alone
         try:
             config = parse_config_file(args.config)
         except ValueError as exc:
             raise ValueError(f"bad config file: {exc}") from exc
     else:
-        if args.config:
-            print(f"preset {args.preset!r} is fixed; --config is only for 'custom'",
-                  file=sys.stderr)
-            return USAGE_ERROR
         config = make_preset(args.preset)
 
     summary = run_experiment(config, args.seed, args.replications, args.output)
     for line in summary.lines():
         print(line)
     print(f"trace written to {Path(args.output)}")
-    return 0
 
 
-def _cmd_oracle_check(args) -> int:
+def _cmd_oracle_check(args) -> None:
     if not (1 <= args.max_L <= ORACLE_MAX_WORKERS and 0 <= args.max_k <= ORACLE_MAX_ROWS):
         raise ValueError(
             f"the sweep needs 1 <= --max-L <= {ORACLE_MAX_WORKERS} and 0 <= --max-k <= "
@@ -141,10 +138,8 @@ def _cmd_oracle_check(args) -> int:
                         f"formula {formula}, oracle {oracle}"
                     )
     if mismatches:
-        print(f"{mismatches} mismatches in {checked} cases")
-        return RUNTIME_ERROR
+        raise RuntimeError(f"{mismatches} mismatches in {checked} cases")
     print(f"checked {checked} cases: closed form matches the brute-force oracle")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,17 +185,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; the one place an exception becomes an exit code: a
-    ValueError is invalid input (2), any other a failure while running (3)."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand: the CLI's one way out.  No command returns an exit
+    code; this is the one place an outcome becomes one.  A command that
+    returns has succeeded (0).  A ValueError is invalid input (2) and any
+    other exception a failure while running (3), each with one stderr line.
+    A usage error exits 1 through argparse, before any command runs."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "experiment" and (args.preset == "custom") != bool(args.config):
+        parser.error("--config FILE goes with the custom preset, and only with it")
+    del parser  # about 0.2 MB of argparse objects, freed before the run's peak memory
     try:
-        return args.func(args)
+        args.func(args)
     except ValueError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
     except Exception as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
+    return 0
 
 
 if __name__ == "__main__":

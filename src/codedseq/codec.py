@@ -304,9 +304,10 @@ def decode_prefix(results: Sequence[WorkerResult]) -> np.ndarray:
     return layout.decoder(ids).dot(np.concatenate([r.y for r in results]))
 
 
-def dump_rows(cfg: Configuration) -> Iterator[dict[str, object]]:
+def dump_rows(cfg: Configuration) -> Iterator[tuple]:
     """Per-coded-row provenance records in storage order (for the CSV debug
-    dump), keyed by DUMP_COLUMNS and read from the configuration's layout."""
+    dump), each a tuple in DUMP_COLUMNS order, read from the configuration's
+    layout."""
     placed = sorted(
         ((w, s), blk, r)
         for blocks in make_layout(cfg).levels
@@ -315,5 +316,4 @@ def dump_rows(cfg: Configuration) -> Iterator[dict[str, object]]:
     )
     for (w, _), blk, r in placed:
         coefficients = " ".join(f"{c:.17g}" for c in blk.generator[r])
-        yield dict(zip(DUMP_COLUMNS, (w + 1, blk.level, blk.index, r,
-                                      int(r < blk.rows_in), coefficients)))
+        yield w + 1, blk.level, blk.index, r, int(r < blk.rows_in), coefficients

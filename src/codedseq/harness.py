@@ -7,7 +7,7 @@ import io
 import os
 import zipfile
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -237,11 +237,28 @@ def _run_text(run_id: str, algorithm: str, trace: RunTrace) -> Iterator[str]:
         yield fmt % tuple(values.ravel().tolist())
 
 
+def _write_atomically(path: "str | Path", chunks: Iterable[str]) -> None:
+    """Write the text chunks to ``path`` atomically.  They go to a temp file
+    beside it, ``path`` plus ".tmp", which is renamed onto ``path`` only
+    after the last chunk is written.  On any exception, raised by the
+    chunks or by the file system, the temp file is removed and ``path`` keeps
+    whatever it held, so no reader ever sees a partial file."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_trace_csv(
     path: "str | Path", runs: Iterable[tuple[str, str, RunTrace]]
 ) -> None:
     """Write the ``(run_id, algorithm, trace)`` runs as one trace CSV, in the
-    order given: atomic, a full temp file then a rename.
+    order given, through _write_atomically.
 
     The bytes are those csv.writer(..., lineterminator="\\n") writes for the
     rows ``[run_id, algorithm, iteration, phase, *columns]``, with integers as
@@ -257,17 +274,8 @@ def write_trace_csv(
     the per-row writer's 44.0, while 8- to 32-row blocks ended at 43.8-43.9;
     32 rows cost about 0.3 ms more than 64 per 10-replication example1 write.
     """
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            for run in runs:
-                fh.writelines(_run_text(*run))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    _write_atomically(path, chain([TRACE_HEADER + "\n"],
+                                  chain.from_iterable(_run_text(*run) for run in runs)))
 
 
 def _trace_runs(path: "str | Path") -> Iterator[tuple[str, str, list[list]]]:

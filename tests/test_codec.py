@@ -696,15 +696,14 @@ class TestDump:
         records = list(dump_rows(cfg))
         total = sum(row_count_s(i, k, cfg.L) for i, k in enumerate(cfg.k, 1))
         assert len(records) == total
-        for rec in records:
-            coeffs = [float(v) for v in rec["coefficients"].split()]
+        for *_, coefficients in records:
+            coeffs = [float(v) for v in coefficients.split()]
             assert coeffs  # at least one coefficient per coded row
 
     def test_reference_example_rows_in_storage_order(self):
         # worker_id, level, block, row, systematic of the README example
         cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
-        keys = ("worker_id", "level", "block", "row", "systematic")
-        assert [tuple(rec[key] for key in keys) for rec in dump_rows(cfg)] == [
+        assert [rec[:5] for rec in dump_rows(cfg)] == [
             (1, 2, 0, 0, 1), (1, 2, 1, 0, 1), (1, 3, 0, 0, 1),
             (2, 2, 0, 1, 1), (2, 2, 1, 1, 0), (2, 3, 0, 1, 1),
             (3, 2, 0, 2, 0), (3, 2, 1, 2, 0), (3, 3, 0, 2, 1),
@@ -714,7 +713,7 @@ class TestDump:
     def test_coefficients_are_the_generator_rows(self):
         cfg = Configuration(L=5, n=5, k=(1, 2, 3, 4, 5))
         layout = make_layout(cfg)
-        for rec in dump_rows(cfg):
-            blk = layout.levels[rec["level"] - 1][rec["block"]]
-            coeffs = [float(v) for v in rec["coefficients"].split()]
-            assert coeffs == list(blk.generator[rec["row"]])
+        for _, level, block, row, _, coefficients in dump_rows(cfg):
+            blk = layout.levels[level - 1][block]
+            coeffs = [float(v) for v in coefficients.split()]
+            assert coeffs == list(blk.generator[row])

@@ -986,7 +986,10 @@ class TestCli:
 
     def test_infeasible_exit_code(self, capsys):
         assert main(["feasible", "--L", "4", "--n", "3", "--k", "4,0,0,0"]) == 2
-        assert "feasible: no" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "feasible: no" in captured.out
+        assert ("validation failed: configuration (4, 0, 0, 0) is infeasible"
+                in captured.err)
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1026,6 +1029,43 @@ class TestCli:
         assert "cannot write --output" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["stdout", "new-file", "existing-file"])
+    def test_demo_encode_failing_self_test_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, target
+    ):
+        # this configuration's worst decode is 8.0e-16 off, above a zero tolerance
+        monkeypatch.setattr(cli_module, "SELF_TEST_TOLERANCE", 0.0)
+        out = tmp_path / "dump.csv"
+        if target == "existing-file":
+            out.write_text("earlier dump\n")
+        output = [] if target == "stdout" else ["--output", str(out)]
+        code = main(["demo-encode", "--L", "4", "--n", "3", "--k", "0,3,3,1", *output])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "demo-encode failed: decode self-test: FAIL (15 subsets" in captured.err
+        assert captured.out == ""
+        if target == "existing-file":
+            assert out.read_text() == "earlier dump\n"
+        else:
+            assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_demo_encode_failed_write_keeps_the_old_file(self, tmp_path, capsys, monkeypatch):
+        def no_rename(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(harness_module.os, "replace", no_rename)
+        out = tmp_path / "dump.csv"
+        out.write_text("earlier dump\n")
+        code = main(["demo-encode", "--L", "4", "--n", "3", "--k", "0,3,3,1",
+                     "--output", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "demo-encode failed: cannot write --output: rename refused" in captured.err
+        assert "decode self-test" not in captured.out
+        assert out.read_text() == "earlier dump\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["dump.csv"]
 
     def test_demo_encode_single_row(self, capsys):
         assert main(["demo-encode", "--L", "1", "--n", "1", "--k", "1",
@@ -1068,9 +1108,9 @@ class TestCli:
 
         monkeypatch.setattr(cli_module, "row_count_s", off_by_one)
         assert main(["oracle-check", "--max-L", "2", "--max-k", "1"]) == 3
-        out = capsys.readouterr().out
-        assert out.splitlines() == ["MISMATCH L=2 i=1 k_i=1: formula 3, oracle 2",
-                                    "1 mismatches in 6 cases"]
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["MISMATCH L=2 i=1 k_i=1: formula 3, oracle 2"]
+        assert captured.err.splitlines() == ["oracle-check failed: 1 mismatches in 6 cases"]
 
     @pytest.mark.parametrize("bounds", [["--max-L", "0"], ["--max-k", "-1"]])
     def test_oracle_check_empty_sweep_exit_2(self, capsys, bounds):
@@ -1099,13 +1139,38 @@ class TestCli:
         assert main(["oracle-check", *bounds]) == 0
         assert "matches" in capsys.readouterr().out
 
+    CONFIG_USAGE = "codedseq: error: --config FILE goes with the custom preset, and only with it"
+
     def test_experiment_preset_rejects_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
         cfg.write_text(FAST_CUSTOM)
-        assert main(["experiment", "example1", "--config", str(cfg)]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "example1", "--config", str(cfg)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: codedseq")
+        assert err.splitlines()[-1] == self.CONFIG_USAGE
 
-    def test_experiment_custom_needs_config(self):
-        assert main(["experiment", "custom"]) == 1
+    def test_experiment_custom_needs_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "custom"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: codedseq")
+        assert err.splitlines()[-1] == self.CONFIG_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["feasible", "--L", "4", "--n", "3", "--k", "0,3,3,1"],
+        ["demo-encode", "--L", "4", "--n", "3", "--k", "0,3,3,1"],
+        ["demo-encode", "--L", "4", "--n", "3", "--k", "0,3,3,1", "--output", "{dir}/d.csv"],
+        ["experiment", "custom", "--config", "{config}", "--replications", "1",
+         "--output", "{dir}/t.csv"],
+        ["oracle-check", "--max-L", "2", "--max-k", "2"],
+    ], ids=["feasible", "demo-encode", "demo-encode-output", "experiment", "oracle-check"])
+    def test_success_returns_the_int_zero(self, tmp_path, capsys, custom_config_file, argv):
+        code = main([a.format(dir=tmp_path, config=custom_config_file) for a in argv])
+        assert type(code) is int and code == 0
+        assert capsys.readouterr().err == ""
 
     def test_experiment_custom_smoke(self, tmp_path, capsys, custom_config_file):
         out = tmp_path / "trace.csv"

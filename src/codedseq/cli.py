@@ -37,6 +37,9 @@ from .harness import (
 USAGE_ERROR, VALIDATION_ERROR, RUNTIME_ERROR = 1, 2, 3
 # the largest relative error demo-encode's self-test accepts from a decode
 SELF_TEST_TOLERANCE = 1e-8
+# the most workers demo-encode takes: its self-test decodes all 2^L - 1 subsets,
+# about 3-4 s at L = 16, and each added worker doubles that
+DEMO_MAX_WORKERS = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +68,9 @@ def _cmd_feasible(args) -> None:
 
 def _cmd_demo_encode(args) -> None:
     cfg = Configuration(L=args.L, n=args.n, k=args.k)
+    if cfg.L > DEMO_MAX_WORKERS:
+        raise ValueError(f"the self-test decodes all 2^L - 1 responder subsets, so "
+                         f"--L must be <= {DEMO_MAX_WORKERS}, got {cfg.L}")
     h = make_layout(cfg).offsets  # level i is rows h[i-1]:h[i] of A
     if args.m < 1:
         raise ValueError(f"invalid column count: --m must be >= 1, got {args.m}")

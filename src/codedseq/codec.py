@@ -9,13 +9,14 @@ the L workers so that any ell responders jointly determine the first h_ell
 entries of A z.  All coded rows live in one stacked matrix, each worker's rows
 a contiguous slice of it.  Encoding, decoding and the row dump all read that
 layout.
-Decoding from a responder set is one product with a decode matrix built the
-first time that set responds.  Products with a large matrix
-read only the columns on the vector's support (``support_product``).
+Decoding from a responder set is one product with that set's decode matrix,
+kept in one bounded cache shared by all layouts (``Layout.decoder``).
+Products with a large matrix read only the columns on the vector's support
+(``support_product``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import attrgetter
@@ -45,6 +46,9 @@ DUMP_COLUMNS = ("worker_id", "level", "block", "row", "systematic", "coefficient
 # support_product gates; see its docstring for the measurements behind them
 SUPPORT_MIN_ENTRIES = 1 << 16
 SUPPORT_COLS_PER_NONZERO = 16
+
+# decode matrices kept by Layout.decoder, over all layouts; see its docstring
+DECODER_CACHE_SIZE = 256
 
 _FLOAT = np.dtype(float)
 _WORKER_ID = attrgetter("worker_id")
@@ -135,23 +139,29 @@ class Layout:
     ``levels[i-1]`` lists the blocks of level i; worker w+1 stores rows
     ``starts[w]:starts[w+1]`` of the stacked coded matrix; level i holds rows
     ``offsets[i-1]:offsets[i]`` of the source, so ell responders decode the
-    first ``offsets[ell]`` entries of A z.  ``decoders`` caches one
-    decode matrix per responder set.
+    first ``offsets[ell]`` entries of A z.
+
+    ``decoder`` keeps the DECODER_CACHE_SIZE most recently used decode
+    matrices of all layouts in one LRU cache, so memory stays bounded however
+    many responder sets a run meets: at large L almost every round meets a
+    new one.  256 is above the 177 responder sets the most varied benchmark
+    workload can meet at all (wide8: 107 on its sequential layout, 70 on its
+    baseline one), so none of them evicts.  At one BLAS thread a rebuilt
+    matrix is bit-equal to the evicted one, so eviction never moves a trace.
     """
 
     levels: tuple[tuple[Block, ...], ...]
     starts: tuple[int, ...]
     offsets: tuple[int, ...]
-    decoders: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict, repr=False)
 
+    # the cache holds self, which costs nothing: make_layout already keeps
+    # every layout for the life of the process
+    @lru_cache(maxsize=DECODER_CACHE_SIZE)
     def decoder(self, responders: tuple[int, ...]) -> np.ndarray:
         """Decode matrix D_S mapping the outputs of the ascending worker ids S,
         concatenated, to the first offsets[|S|] entries of A z.  Per block it
         reads the lowest-indexed coded rows present and applies the inverse of
         that generator submatrix (an identity, inverted exactly, if systematic)."""
-        D = self.decoders.get(responders)
-        if D is not None:
-            return D
         column: dict[int, int] = {}  # worker index -> column of its first row
         width = 0
         for w in responders:
@@ -167,7 +177,6 @@ class Layout:
                 D[blk.start : blk.start + blk.rows_in, cols] = np.linalg.inv(
                     blk.generator[idx])
         D.setflags(write=False)
-        self.decoders[responders] = D
         return D
 
 
@@ -175,6 +184,8 @@ class Layout:
 def make_layout(cfg: Configuration) -> Layout:
     """The block layout of a configuration, built once per configuration; the
     one place an infeasible configuration is refused (InfeasibleConfiguration).
+    The cache is unbounded on purpose: decode_prefix checks that results share
+    one layout object, which holds only while each configuration has one.
 
     Level i's source rows are split into consecutive blocks of i rows plus a
     remainder block; a block of rows_in rows is coded to

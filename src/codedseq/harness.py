@@ -5,6 +5,7 @@ import configparser
 import csv
 import io
 import os
+import secrets
 import zipfile
 from dataclasses import dataclass
 from itertools import chain, groupby
@@ -239,14 +240,17 @@ def _run_text(run_id: str, algorithm: str, trace: RunTrace) -> Iterator[str]:
 
 def _write_atomically(path: "str | Path", chunks: Iterable[str]) -> None:
     """Write the text chunks to ``path`` atomically.  They go to a temp file
-    beside it, ``path`` plus ".tmp", which is renamed onto ``path`` only
-    after the last chunk is written.  On any exception, raised by the
-    chunks or by the file system, the temp file is removed and ``path`` keeps
-    whatever it held, so no reader ever sees a partial file."""
+    beside it whose name no other file or writer holds (the process id and a
+    random token, ending ".tmp"), renamed onto ``path`` only after the last
+    chunk is written.  On any exception, raised by the chunks or by the file
+    system, that temp file is removed and ``path`` keeps whatever it held, so
+    no reader ever sees a partial file.  The file is made by a plain open, not
+    tempfile.mkstemp, so ``path`` gets the usual mode rather than 0600."""
     path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x", newline="")  # if this raises, there is nothing to remove
     try:
-        with open(tmp, "w", newline="") as fh:
+        with fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

@@ -8,6 +8,7 @@ import codedseq.codec as codec_module
 from codedseq.codec import (
     InfeasibleConfiguration,
     InsufficientResults,
+    Layout,
     WorkerMatrix,
     decode_prefix,
     dump_rows,
@@ -145,13 +146,29 @@ class TestLayout:
         cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
         workers = encode_all(random_source(cfg, 7, 0), cfg)
         layout = make_layout(cfg)
-        layout.decoders.clear()
+        Layout.decoder.cache_clear()
         z = np.random.default_rng(3).standard_normal(7)
         decode_prefix([worker_multiply(workers[i], z) for i in (3, 1)])
-        first = layout.decoders[(2, 4)]
+        first = layout.decoder((2, 4))
         decode_prefix([worker_multiply(workers[i], z) for i in (1, 3)])
-        assert list(layout.decoders) == [(2, 4)]
-        assert layout.decoders[(2, 4)] is first
+        info = Layout.decoder.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+        assert layout.decoder((2, 4)) is first
+
+    def test_decode_cache_is_bounded_and_rebuilds_bit_equal(self):
+        cfg = Configuration(L=12, n=1, k=(0,) * 5 + (6,) + (0,) * 6)
+        layout = make_layout(cfg)
+        sets = list(combinations(range(1, 13), 6))
+        assert len(sets) > codec_module.DECODER_CACHE_SIZE
+        Layout.decoder.cache_clear()
+        first = layout.decoder(sets[0])
+        for responders in sets[1:]:
+            layout.decoder(responders)
+        info = Layout.decoder.cache_info()
+        assert (info.misses, info.currsize) == (len(sets), codec_module.DECODER_CACHE_SIZE)
+        rebuilt = layout.decoder(sets[0])
+        assert Layout.decoder.cache_info().misses == len(sets) + 1  # sets[0] was evicted
+        assert rebuilt is not first and rebuilt.tobytes() == first.tobytes()
 
 
 class TestGenerator:
@@ -679,14 +696,18 @@ class TestDecodeRefusalsInAnyOrder:
     def test_ascending_and_shuffled_results_decode_alike(self):
         cfg = Configuration(L=4, n=3, k=(0, 3, 3, 1))
         layout = make_layout(cfg)
-        layout.decoders.clear()
         z = np.random.default_rng(2).standard_normal(7)
         results = [worker_multiply(w, z) for w in encode_all(random_source(cfg, 7, 1), cfg)]
         chosen = [results[0], results[2], results[3]]
+        Layout.decoder.cache_clear()
         want = decode_prefix(chosen)
         for order in permutations(chosen):
             assert decode_prefix(order).tobytes() == want.tobytes()
-        assert list(layout.decoders) == [(1, 3, 4)]  # one key, in ascending order
+        # one key, in ascending order: all six orders hit the first decode's entry
+        info = Layout.decoder.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (6, 1, 1)
+        layout.decoder((1, 3, 4))
+        assert Layout.decoder.cache_info().hits == 7
 
 
 class TestDump:

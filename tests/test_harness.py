@@ -1,17 +1,21 @@
 import csv
 import dataclasses
+import math
 import random
 import re
 import tracemalloc
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import SEED3_EXPERIMENTS
+
 import codedseq.cli as cli_module
 import codedseq.harness as harness_module
 from codedseq.cli import main
-from codedseq.cluster import LatencyModel
+from codedseq.cluster import LatencyModel, order_stat_mean
 from codedseq.codec import InfeasibleConfiguration, encode_all, make_layout
 from codedseq.feasibility import Configuration, first_feasible
 from codedseq.harness import (
@@ -511,6 +515,47 @@ class TestSummaryFold:
             summarize_trace_file(path, "custom", 1e-3)
 
 
+def order_stat_var(model, L, ell):
+    """Variance of T_(ell), the ell-th smallest of L i.i.d. latencies: the sum
+    of 1/(j rate)^2 over j = L-ell+1..L for both exponential laws (the shift
+    is constant), and 0 for deterministic."""
+    if model.kind == "deterministic":
+        return 0.0
+    return sum(1.0 / (j * model.rate) ** 2 for j in range(L - ell + 1, L + 1))
+
+
+class TestClosedFormTime:
+    """A run's iterates do not depend on its latency draw, so its first
+    iteration N* at or below the threshold (or its last) does not either.
+    Its simulated time to N* is then a sum of independent order statistics:
+    c * sum_{k <= N*} T_(ell(k)), with c = 2 when the transpose round is
+    charged (sequential runs only) and 1 otherwise."""
+
+    @pytest.mark.parametrize("name", SEED3_EXPERIMENTS)
+    def test_simulated_time_matches_closed_form(self, seed3_trace, name):
+        config, _, out, _ = seed3_trace(name)
+        schedule, baseline, _ = validate_experiment(config)
+        model, L = config.latency, schedule.config.L
+        runs = groupby(read_trace_csv(out), key=lambda row: row["run_id"])
+        for run_id, rows in runs:
+            rows = list(rows)
+            sequential = rows[0]["algorithm"] == "sequential"
+            c = 2 if sequential and config.charge_second_round else 1
+            phases = (schedule if sequential else baseline).phases
+            ells = [phase.ell for phase in phases for _ in range(phase.iterations)]
+            assert len(ells) == len(rows), run_id
+            n_star = next((k for k, row in enumerate(rows)
+                           if row["suboptimality"] <= config.summary_threshold),
+                          len(rows) - 1)
+            mean = c * sum(order_stat_mean(model, L, ell) for ell in ells[: n_star + 1])
+            var = c * sum(order_stat_var(model, L, ell) for ell in ells[: n_star + 1])
+            got = rows[n_star]["cum_time"]
+            if var == 0:
+                assert got == pytest.approx(mean, rel=1e-12, abs=0), run_id
+            else:
+                assert abs(got - mean) <= 4 * math.sqrt(var), (run_id, got, mean, var)
+
+
 class TestRunExperiment:
     def test_custom_run_and_summary(self, tmp_path, custom_config_file):
         config = parse_config_file(custom_config_file)
@@ -598,6 +643,33 @@ class TestRunExperiment:
         growth = (peak[many] - peak[few]) / (many - few)
         csv_bytes = (size[many] - size[few]) / (many - few)
         assert growth < 0.5 * csv_bytes, (growth, csv_bytes)
+
+    def test_memory_does_not_grow_with_responder_sets(self, tmp_path):
+        """At L = 24 almost every round meets a new responder set, so the
+        decode cache must be bounded for the peak not to grow by the decode
+        matrices of every set each replication meets (about 5 MB per
+        replication while every one was kept)."""
+        level_counts = [0] * 24
+        level_counts[1], level_counts[11] = 4, 36
+        config = ExperimentConfig(
+            label="wide24", L=24, n=6, rows=40, cols=600, rank=40,
+            phases=((4, 10), (40, 150)), configuration=tuple(level_counts),
+            baseline_iterations=150,
+        )
+        out = tmp_path / "trace.csv"
+        run_experiment(config, seed=0, replications=1, output=out)  # fills the cache
+        few, many = 1, 3
+        peak = {}
+        # fresh seeds, so each run meets sets the warm-up never built
+        for reps, seed in ((few, 1), (many, 2)):
+            tracemalloc.start()
+            try:
+                run_experiment(config, seed=seed, replications=reps, output=out)
+                peak[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        growth = (peak[many] - peak[few]) / (many - few)
+        assert growth < 1e6, growth
 
     def test_same_seed_byte_identical(self, tmp_path, custom_config_file):
         config = parse_config_file(custom_config_file)
@@ -1066,6 +1138,38 @@ class TestCli:
         assert "decode self-test" not in captured.out
         assert out.read_text() == "earlier dump\n"
         assert [p.name for p in tmp_path.iterdir()] == ["dump.csv"]
+
+    def test_write_keeps_a_users_tmp_file_and_the_usual_mode(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        theirs = tmp_path / "rows.csv.tmp"
+        theirs.write_bytes(b"user data\n")
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        code = main(["demo-encode", "--L", "4", "--n", "3", "--k", "0,3,3,1",
+                     "--output", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert theirs.read_bytes() == b"user data\n"
+        assert out.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "plain.txt", "rows.csv", "rows.csv.tmp"]
+
+    def test_demo_encode_too_many_workers_exits_2_before_encoding(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli_module, "encode_all",
+                            counting("encode", cli_module.encode_all, calls))
+        L = cli_module.DEMO_MAX_WORKERS + 1
+        out = tmp_path / "rows.csv"
+        code = main(["demo-encode", "--L", str(L), "--n", "2",
+                     "--k", ",".join(["0"] * (L - 1) + [str(L)]), "--output", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation failed: ")
+        assert f"--L must be <= {L - 1}, got {L}" in captured.err
+        assert captured.out == ""
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_demo_encode_single_row(self, capsys):
         assert main(["demo-encode", "--L", "1", "--n", "1", "--k", "1",

@@ -6,6 +6,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .feasibility import as_count
+
 __all__ = [
     "LatencyModel",
     "SeededRng",
@@ -69,7 +71,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
-        self.seed = int(seed)
+        self.seed = as_count("seed", seed)
         if self.seed < 0:  # SeedSequence would refuse it only at the first draw
             raise ValueError(f"invalid seed {seed}: a seed must be >= 0")
         self._key = _key
@@ -85,10 +87,6 @@ class SeededRng:
             self._gen = np.random.Generator(np.random.PCG64(ss))
         return self._gen
 
-    def uniform_open_closed(self, size: int) -> np.ndarray:
-        """Uniform draws in (0, 1], suitable for -log(u) inversions."""
-        return 1.0 - self.generator.random(size)
-
 
 def sample_round(model: LatencyModel, L: int, rng: SeededRng) -> np.ndarray:
     """Draw one round of L independent worker finish times, shape (L,)."""
@@ -96,7 +94,8 @@ def sample_round(model: LatencyModel, L: int, rng: SeededRng) -> np.ndarray:
         raise ValueError(f"L must be >= 1, got {L}")
     if model.kind == "deterministic":
         return np.full(L, model.value)
-    times = rng.uniform_open_closed(L)  # a fresh array: transform it in place
+    times = rng.generator.random(L)  # a fresh array in [0, 1): transform it in place
+    np.subtract(1.0, times, out=times)  # u -> 1 - u in (0, 1], so the log is finite
     np.negative(np.log(times, out=times), out=times)
     times /= model.rate
     if model.kind == "shifted-exponential":

@@ -161,7 +161,19 @@ class Layout:
         """Decode matrix D_S mapping the outputs of the ascending worker ids S,
         concatenated, to the first offsets[|S|] entries of A z.  Per block it
         reads the lowest-indexed coded rows present and applies the inverse of
-        that generator submatrix (an identity, inverted exactly, if systematic)."""
+        that generator submatrix (an identity, inverted exactly, if systematic).
+
+        The one owner of the responder-set rule: a key that is not distinct
+        ascending ids in 1..L raises ValueError.  The key is checked only when
+        its matrix is built, so a cached set costs nothing, and a refusal is
+        not cached."""
+        L = len(self.starts) - 1
+        if len(set(responders)) != len(responders):
+            raise ValueError(f"worker results must come from distinct workers, got {responders}")
+        if list(responders) != sorted(responders):
+            raise ValueError(f"worker ids must be ascending, got {responders}")
+        if responders and not 1 <= responders[0] <= responders[-1] <= L:
+            raise ValueError(f"worker ids must lie in 1..{L}, got {responders}")
         column: dict[int, int] = {}  # worker index -> column of its first row
         width = 0
         for w in responders:
@@ -287,7 +299,10 @@ def decode_prefix(results: Sequence[WorkerResult]) -> np.ndarray:
     all placed by one layout: the one their results carry.
 
     They are one multiplication of the concatenated results by the responder
-    set's cached decode matrix (``Layout.decoder``).
+    set's cached decode matrix (``Layout.decoder``).  Results may come in any
+    order; they are sorted by worker id first.  The decoder refuses ids that
+    are not distinct or not in 1..L, before the results' own checks: each
+    must carry this layout and the row count it places on its worker.
     """
     ell = len(results)
     if ell == 0:
@@ -301,10 +316,7 @@ def decode_prefix(results: Sequence[WorkerResult]) -> np.ndarray:
     if sorted(ids) != list(ids):  # simulate_wait's responders come ascending
         results = sorted(results, key=_WORKER_ID)
         ids = tuple(map(_WORKER_ID, results))
-    if len(set(ids)) != ell:
-        raise ValueError(f"worker results must come from distinct workers, got {ids}")
-    if not 1 <= ids[0] <= ids[-1] <= L:
-        raise ValueError(f"worker ids must lie in 1..{L}, got {ids}")
+    D = layout.decoder(ids)  # refuses ids that are not distinct or not in 1..L
     for res in results:
         # make_layout keeps one layout per configuration for the life of the
         # process, so results of one configuration carry this very object
@@ -312,7 +324,7 @@ def decode_prefix(results: Sequence[WorkerResult]) -> np.ndarray:
         if res.layout is not layout or len(res.y) != starts[w] - starts[w - 1]:
             raise InsufficientResults(
                 f"worker {w}: result does not hold the coded rows the layout places there")
-    return layout.decoder(ids).dot(np.concatenate([r.y for r in results]))
+    return D.dot(np.concatenate([r.y for r in results]))
 
 
 def dump_rows(cfg: Configuration) -> Iterator[tuple]:

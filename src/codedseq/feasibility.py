@@ -18,6 +18,7 @@ lexicographically first configuration off that pass one level at a time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -35,6 +36,16 @@ __all__ = [
 ]
 
 
+def as_count(name: str, value) -> int:
+    """value as an int, refusing what is not an integer (a float, even 3.0)
+    with a ValueError naming it; NumPy integers pass.  The one rule for the
+    counts that configurations, seeds, schedules and experiments take."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Cluster shape (L workers, n rows each) plus per-level row counts."""
@@ -44,11 +55,13 @@ class Configuration:
     k: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "L", as_count("L", self.L))
+        object.__setattr__(self, "n", as_count("n", self.n))
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        k = tuple(int(v) for v in self.k)
+        k = tuple(as_count(f"k_{i}", v) for i, v in enumerate(self.k, start=1))
         if len(k) != self.L:
             raise ValueError(f"expected {self.L} level counts, got {len(k)}")
         if any(v < 0 for v in k):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cluster import LatencyModel, SeededRng
 from .codec import make_layout
-from .feasibility import Configuration, auto_configuration
+from .feasibility import Configuration, as_count, auto_configuration
 from .problems import DesignedProblem, designed_problem, gaussian_problem
 from .solver import (
     ApproxSchedule,
@@ -451,7 +451,7 @@ def run_experiment(
     source, or during the run, where a ValueError (LinAlgError included) is
     re-raised as one.  A failed write raises OSError.
     """
-    if replications < 1:
+    if as_count("replications", replications) < 1:
         raise ValueError("need at least one replication")
     root = SeededRng(seed)
     output = Path(output)

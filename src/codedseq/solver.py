@@ -24,7 +24,7 @@ from .codec import (
     support_product,
     worker_multiply,
 )
-from .feasibility import Configuration
+from .feasibility import Configuration, as_count
 
 __all__ = [
     "LassoProblem",
@@ -195,6 +195,8 @@ class ApproxSchedule:
         phases = []
         prev_rank = 0
         for rank, iterations in phase_specs:
+            rank = as_count("phase rank", rank)
+            iterations = as_count("phase iterations", iterations)
             if iterations < 1:
                 raise ValueError(f"phase iteration count must be >= 1, got {rank, iterations}")
             if rank <= prev_rank:
@@ -212,26 +214,21 @@ class ApproxSchedule:
 class CodedMatvecSystem:
     """Immutable encoded system shared by all phases of a run: the workers
     hold the coded rows v_1 .. v_(h_L) of ``svd``, in decreasing order of
-    sigma, placed by the configuration's layout."""
+    sigma, placed by the configuration's layout.  ``sigma2``, the squared
+    singular values, is fixed here: a round of rank r completes its product
+    with the first r columns of ``svd.V`` and the first r entries of
+    ``sigma2``."""
 
     config: Configuration
     svd: SvdFactors
     workers: tuple[WorkerMatrix, ...] = field(init=False)
-    _completions: dict[int, tuple[np.ndarray, np.ndarray]] = field(
-        init=False, default_factory=dict, repr=False, compare=False)
+    sigma2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         h_L = make_layout(self.config).offsets[-1]
         workers = encode_all(self.svd.V[:, :h_L].T, self.config)
         object.__setattr__(self, "workers", tuple(workers))
-
-    def completion(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        """(V_r, sigma_r^2) of the rank-r truncation, built once per rank."""
-        pair = self._completions.get(rank)
-        if pair is None:
-            pair = self._completions[rank] = (self.svd.V[:, :rank],
-                                              self.svd.sigma[:rank] ** 2)
-        return pair
+        object.__setattr__(self, "sigma2", self.svd.sigma ** 2)
 
 
 def sequential_matvec(
@@ -244,22 +241,21 @@ def sequential_matvec(
     """One coded round: wait for ell(r) workers, decode, return (H_(r) x, T_(ell)).
 
     The decoded values t = [v_1^T x, ..., v_h^T x], h = h_ell, are completed
-    user-side to H_(r) x = V_r diag(sigma_r^2) t_r using the first rank(r)
-    components.
+    user-side to H_(r) x = V_r diag(sigma_r^2) t_r using the first r = rank(r)
+    components: V_r is the first r columns of ``system.svd.V`` and sigma_r^2
+    the first r entries of ``system.sigma2``, both fixed for the run.
     """
     elapsed, responders = simulate_wait(model, system.config.L, phase.ell, rng)
     results = [
         worker_multiply(system.workers[w - 1], x) for w in responders
     ]
     t = decode_prefix(results)
-    if t.shape[0] < phase.rank:
-        raise RuntimeError(
-            f"decoded {t.shape[0]} components, phase needs {phase.rank}"
-        )
-    V_r, sigma2 = system.completion(phase.rank)
-    t_r = t[: phase.rank]  # t is decode_prefix's fresh array
-    t_r *= sigma2
-    return V_r.dot(t_r), elapsed
+    r = phase.rank
+    if t.shape[0] < r:
+        raise RuntimeError(f"decoded {t.shape[0]} components, phase needs {r}")
+    t_r = t[:r]  # t is decode_prefix's fresh array
+    t_r *= system.sigma2[:r]
+    return system.svd.V[:, :r].dot(t_r), elapsed
 
 
 @dataclass(eq=False)

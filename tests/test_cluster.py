@@ -1,3 +1,6 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,22 +15,30 @@ from codedseq.cluster import (
 
 class TestSeededRng:
     def test_same_seed_same_stream(self):
-        a = SeededRng(7).spawn(3).uniform_open_closed(10)
-        b = SeededRng(7).spawn(3).uniform_open_closed(10)
+        a = SeededRng(7).spawn(3).generator.random(10)
+        b = SeededRng(7).spawn(3).generator.random(10)
         np.testing.assert_array_equal(a, b)
 
     def test_spawn_keys_give_independent_streams(self):
-        a = SeededRng(7).spawn(1).uniform_open_closed(10)
-        b = SeededRng(7).spawn(2).uniform_open_closed(10)
+        a = SeededRng(7).spawn(1).generator.random(10)
+        b = SeededRng(7).spawn(2).generator.random(10)
         assert not np.array_equal(a, b)
 
     def test_negative_seed_is_refused_before_any_draw(self):
         with pytest.raises(ValueError, match="invalid seed -1"):
             SeededRng(-1)
 
-    def test_uniforms_in_half_open_interval(self):
-        u = SeededRng(0).uniform_open_closed(10000)
-        assert np.all(u > 0.0) and np.all(u <= 1.0)
+    @pytest.mark.parametrize("seed", [3.9, 3.0, np.float64(3.0), "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            SeededRng(seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3), np.int32(3)])
+    def test_numpy_integer_seeds_draw_the_plain_seeds_stream(self, seed):
+        got = SeededRng(seed).spawn(1)
+        assert type(got.seed) is int
+        np.testing.assert_array_equal(got.generator.random(4),
+                                      SeededRng(3).spawn(1).generator.random(4))
 
 
 class TestSampleRound:
@@ -48,11 +59,24 @@ class TestSampleRound:
             sample_round(LatencyModel.exponential(1.0), 0, SeededRng(0))
 
     def test_exponential_uses_inverse_cdf(self):
+        # generator.random draws u in [0, 1); the latency is -log(1 - u) / rate,
+        # bit for bit
         rate = 2.5
-        u = SeededRng(9).spawn(0).uniform_open_closed(4)
+        u = SeededRng(9).spawn(0).generator.random(4)
         out = sample_round(LatencyModel.exponential(rate), 4, SeededRng(9).spawn(0))
         assert out.shape == (4,)
-        np.testing.assert_allclose(out, -np.log(u) / rate)
+        np.testing.assert_array_equal(out, -np.log(1.0 - u) / rate)
+
+    def test_latencies_are_finite(self):
+        # a draw of exactly 0 maps to 1 - 0 = 1, so its latency is 0, not inf
+        class ZeroDraws:
+            generator = SimpleNamespace(random=np.zeros)
+
+        for kind, shift in (("exponential", 0.0), ("shifted-exponential", 0.5)):
+            m = LatencyModel(kind, rate=2.0, shift=shift)
+            np.testing.assert_array_equal(sample_round(m, 3, ZeroDraws()), np.full(3, shift))
+            out = sample_round(m, 10000, SeededRng(0))
+            assert np.all(np.isfinite(out)) and np.all(out >= shift)
 
     def test_shifted_exponential(self):
         m = LatencyModel("shifted-exponential", rate=1.0, shift=0.5)

@@ -1,3 +1,4 @@
+import re
 from collections import namedtuple
 from itertools import accumulate, combinations, permutations
 
@@ -154,6 +155,21 @@ class TestLayout:
         info = Layout.decoder.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
         assert layout.decoder((2, 4)) is first
+
+    @pytest.mark.parametrize("key, message", [
+        ((1, 1, 2), "worker results must come from distinct workers, got (1, 1, 2)"),
+        ((1, 2, 3, 4, 4), "distinct workers"),
+        ((2, 1, 3), "worker ids must be ascending, got (2, 1, 3)"),
+        ((0, 1, 2), "worker ids must lie in 1..4, got (0, 1, 2)"),
+        ((5,), "worker ids must lie in 1..4, got (5,)"),
+    ], ids=["repeat", "repeat-of-five", "unsorted", "id-0", "id-5"])
+    def test_decoder_refuses_malformed_keys_and_caches_nothing(self, key, message):
+        layout = make_layout(Configuration(L=4, n=3, k=(0, 3, 3, 1)))
+        layout.decoder((1, 2, 3))
+        before = Layout.decoder.cache_info().currsize
+        with pytest.raises(ValueError, match=re.escape(message)):
+            layout.decoder(key)
+        assert Layout.decoder.cache_info().currsize == before
 
     def test_decode_cache_is_bounded_and_rebuilds_bit_equal(self):
         cfg = Configuration(L=12, n=1, k=(0,) * 5 + (6,) + (0,) * 6)

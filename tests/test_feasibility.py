@@ -1,7 +1,9 @@
 import math
 import random
+import re
 from itertools import accumulate, product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,6 +83,22 @@ class TestCheckFeasible:
             Configuration(L=2, n=0, k=(1, 1))
         with pytest.raises(ValueError):
             Configuration(L=2, n=3, k=(1, -1))
+
+    @pytest.mark.parametrize("L, n, k, message", [
+        (4, 10, (0, 0, 6.9, 32), "k_3 must be an integer, got 6.9"),
+        (4, 10, (0.0, 0, 6, 32), "k_1 must be an integer, got 0.0"),
+        (4.0, 10, (0, 0, 6, 32), "L must be an integer, got 4.0"),
+        (4, 10.5, (0, 0, 6, 32), "n must be an integer, got 10.5"),
+        (4, "10", (0, 0, 6, 32), "n must be an integer, got '10'"),
+    ], ids=["k-fraction", "k-integral-float", "L", "n", "n-text"])
+    def test_counts_must_be_integers(self, L, n, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Configuration(L=L, n=n, k=k)
+
+    def test_numpy_integer_counts_are_plain_ints(self):
+        cfg = Configuration(L=np.int64(4), n=np.int32(10), k=np.array([0, 0, 6, 32]))
+        assert cfg == Configuration(L=4, n=10, k=(0, 0, 6, 32))
+        assert all(type(v) is int for v in (cfg.L, cfg.n, *cfg.k))
 
 
 class TestOracle:

@@ -927,6 +927,20 @@ class TestFailureOwnership:
         assert draws == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("replications", [1.5, 2.0, np.float64(2.0)])
+    def test_non_integer_replications_are_refused_before_validation(
+        self, tmp_path, monkeypatch, replications
+    ):
+        def no_validation(config):
+            raise AssertionError("validated before the replication count was checked")
+
+        monkeypatch.setattr(harness_module, "validate_experiment", no_validation)
+        out = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                f"replications must be an integer, got {replications!r}")):
+            run_experiment(make_preset("example1"), 0, replications, out)
+        assert not out.exists()
+
     def test_rows_above_rank_exit_2_before_any_replication(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -8,8 +8,15 @@ and take one ISTA step.  Any engine must give the same trace on the same
 seed: run ids, phases, iterations and simulated times bit for bit, and
 objective, suboptimality and iterates within the bounds below, which leave
 room for rounding-level changes in how the products are formed.
+
+The reference keeps its own coder, the identity-over-Cauchy generator and
+the decode-matrix assembly, so a change to the library's code cannot move
+the reference along with it.  It reads only the layout's geometry from
+``make_layout``: its blocks, their homes and slots, and its starts and
+offsets.
 """
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,13 +24,55 @@ import pytest
 from conftest import SEED3_EXPERIMENTS
 
 from codedseq.cluster import SeededRng
-from codedseq.codec import encode_all, make_layout, support_product
+from codedseq.codec import make_layout, support_product
 from codedseq.harness import read_trace_csv, validate_experiment
 from codedseq.solver import SvdFactors, reference_solution, run_sequential
 
 OBJECTIVE_RTOL = 1e-14
 SUBOPTIMALITY_ATOL = 1e-12
 ITERATE_ATOL = 1e-12
+
+
+def reference_generator(rows_in, rows_out):
+    """rows_out x rows_in systematic MDS generator: the identity over the
+    Cauchy block 1 / (r - c), r in rows_in..rows_out-1, c in 0..rows_in-1."""
+    r = np.arange(rows_in, rows_out, dtype=float)[:, None]
+    c = np.arange(rows_in, dtype=float)[None, :]
+    return np.vstack([np.eye(rows_in), 1.0 / (r - c)])
+
+
+def reference_encode(A, layout):
+    """Each worker's coded rows: every block's generator times its source rows,
+    coded row r stored as row slots[r] of worker homes[r] (0-based)."""
+    starts = layout.starts
+    W = np.empty((starts[-1], A.shape[1]))
+    for blocks in layout.levels:
+        for blk in blocks:
+            W[[starts[w] + s for w, s in zip(blk.homes, blk.slots)]] = (
+                reference_generator(blk.rows_in, blk.rows_out)
+                @ A[blk.start : blk.start + blk.rows_in])
+    return [W[starts[w] : starts[w + 1]] for w in range(len(starts) - 1)]
+
+
+@lru_cache(maxsize=None)
+def reference_decoder(layout, responders):
+    """The matrix taking the ascending responders' concatenated outputs to the
+    first offsets[ell] entries of A z: per block, the inverse of the generator
+    rows of its lowest-indexed coded rows among the responders."""
+    column, width = {}, 0  # worker index -> column of its first row
+    for w in responders:
+        column[w - 1] = width
+        width += layout.starts[w] - layout.starts[w - 1]
+    ell = len(responders)
+    D = np.zeros((layout.offsets[ell], width))
+    for blocks in layout.levels[:ell]:
+        for blk in blocks:
+            got = [(r, column[w] + s) for r, (w, s) in enumerate(zip(blk.homes, blk.slots))
+                   if w in column]
+            idx, cols = map(list, zip(*got[: blk.rows_in]))
+            D[blk.start : blk.start + blk.rows_in, cols] = np.linalg.inv(
+                reference_generator(blk.rows_in, blk.rows_out)[idx])
+    return D
 
 
 def reference_wait(model, L, ell, rng):
@@ -42,8 +91,8 @@ def reference_wait(model, L, ell, rng):
 def reference_round(x, phase, cfg, workers, svd, model, rng):
     """One coded round: (H_(r) x, T_(ell)) from the ell fastest workers."""
     elapsed, responders = reference_wait(model, cfg.L, phase.ell, rng)
-    y = np.concatenate([support_product(workers[w - 1].rows, x) for w in responders])
-    t = make_layout(cfg).decoder(responders).dot(y)
+    y = np.concatenate([support_product(workers[w - 1], x) for w in responders])
+    t = reference_decoder(make_layout(cfg), responders).dot(y)
     r = phase.rank
     return svd.V[:, :r].dot(svd.sigma[:r] ** 2 * t[:r]), elapsed
 
@@ -53,7 +102,7 @@ def reference_run(problem, schedule, model, rng, svd, x_star, charge_second_roun
     per iteration; phase p draws its rounds on rng.spawn(p, 0) and its
     transpose rounds on rng.spawn(p, 1)."""
     cfg = schedule.config
-    workers = encode_all(svd.V[:, : sum(cfg.k)].T, cfg)
+    workers = reference_encode(svd.V[:, : sum(cfg.k)].T, make_layout(cfg))
     x_norm = float(np.linalg.norm(x_star))
     denom = x_norm if x_norm > 0 else 1.0
     step = 1.0 / float(svd.sigma[0] ** 2)

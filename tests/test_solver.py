@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -260,6 +261,23 @@ class TestSchedule:
         with pytest.raises(ValueError, match=match):
             ApproxSchedule(Configuration(L=4, n=10, k=k), specs)
 
+    @pytest.mark.parametrize("specs, message", [
+        ([(6.5, 30), (38, 400)], "phase rank must be an integer, got 6.5"),
+        ([(6, 30.5), (38, 400)], "phase iterations must be an integer, got 30.5"),
+        ([(6, 30), (38.0, 400)], "phase rank must be an integer, got 38.0"),
+        ([(6, 30), (38, np.float64(400))], "phase iterations must be an integer, got "),
+    ], ids=["rank", "iterations", "integral-float-rank", "numpy-float-iterations"])
+    def test_rejects_non_integer_counts(self, specs, message):
+        cfg = Configuration(L=4, n=10, k=(0, 0, 6, 32))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ApproxSchedule(cfg, specs)
+
+    def test_numpy_integer_counts_are_plain_ints(self):
+        cfg = Configuration(L=4, n=10, k=(0, 0, 6, 32))
+        sched = ApproxSchedule(cfg, [(np.int64(6), np.int32(30)), (np.uint16(38), 40)])
+        assert sched.phases == (Phase(6, 30, 3), Phase(38, 40, 4))
+        assert all(type(v) is int for p in sched.phases for v in (p.rank, p.iterations))
+
     def test_takes_no_responder_count(self):
         cfg = Configuration(L=4, n=10, k=(5, 10, 0, 0))
         with pytest.raises(TypeError):
@@ -301,6 +319,12 @@ class TestCodedMatvecSystem:
         _, svd, cfg, system = tiny_coded_setup()
         with pytest.raises(TypeError):
             CodedMatvecSystem(cfg, svd, workers=system.workers)
+
+    def test_squared_singular_values_are_fixed_at_build(self):
+        _, svd, cfg, system = tiny_coded_setup()
+        assert system.sigma2.tobytes() == (svd.sigma ** 2).tobytes()
+        with pytest.raises(TypeError):
+            CodedMatvecSystem(cfg, svd, sigma2=system.sigma2)
 
 
 class TestSequentialMatvec:

@@ -78,7 +78,12 @@ class SeededRng:
         self._gen: np.random.Generator | None = None
 
     def spawn(self, *key: int) -> "SeededRng":
-        return SeededRng(self.seed, self._key + tuple(int(k) for k in key))
+        """The substream at this path plus ``key``, whose entries follow the
+        seed's rule: each a count (``as_count``) and >= 0, refused here."""
+        key = tuple(as_count("spawn key", k) for k in key)
+        if any(k < 0 for k in key):
+            raise ValueError(f"spawn keys must be >= 0, got {key}")
+        return SeededRng(self.seed, self._key + key)
 
     @property
     def generator(self) -> np.random.Generator:

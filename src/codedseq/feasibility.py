@@ -55,18 +55,26 @@ class Configuration:
     k: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "L", as_count("L", self.L))
-        object.__setattr__(self, "n", as_count("n", self.n))
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        L, n = self.check_shape(self.L, self.n)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "n", n)
         k = tuple(as_count(f"k_{i}", v) for i, v in enumerate(self.k, start=1))
         if len(k) != self.L:
             raise ValueError(f"expected {self.L} level counts, got {len(k)}")
         if any(v < 0 for v in k):
             raise ValueError(f"level counts must be non-negative, got {k}")
         object.__setattr__(self, "k", k)
+
+    @staticmethod
+    def check_shape(L: int, n: int) -> tuple[int, int]:
+        """L and n as counts; the one rule for a cluster's shape: each an
+        integer (``as_count``) and >= 1, else ValueError."""
+        L, n = as_count("L", L), as_count("n", n)
+        if L < 1:
+            raise ValueError(f"L must be >= 1, got {L}")
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        return L, n
 
     @property
     def capacity(self) -> int:
@@ -93,13 +101,21 @@ def row_count_s(i: int, k_i: int, L: int) -> int:
     The rows form ceil(k_i / i) blocks of at most i rows, and each block
     adds L - i parity rows: s_i(k_i) = k_i + (L - i) * ceil(k_i / i).  So a
     full block costs L coded rows, and a remainder block of (k_i mod i) rows
-    costs L - i + (k_i mod i).
+    costs L - i + (k_i mod i).  The arguments follow ``_level_args``.
     """
+    i, k_i = _level_args(i, k_i, L)
+    return k_i + (L - i) * -(-k_i // i)
+
+
+def _level_args(i: int, k_i: int, L: int) -> tuple[int, int]:
+    """i and k_i as counts (``as_count``); the one rule for a level's
+    arguments: a level index outside 1..L or a negative k_i raises ValueError."""
+    i, k_i = as_count("i", i), as_count("k_i", k_i)
     if not 1 <= i <= L:
         raise ValueError(f"level index {i} outside 1..{L}")
     if k_i < 0:
         raise ValueError(f"k_i must be non-negative, got {k_i}")
-    return k_i + (L - i) * -(-k_i // i)
+    return i, k_i
 
 
 def check_feasible(cfg: Configuration) -> RowBudget:
@@ -138,12 +154,11 @@ def min_rows_oracle(L: int, i: int, k_i: int) -> int:
     entry can be exchanged downward without breaking a subset constraint).
     Every size-i subset is then checked explicitly, so the result is an
     independent lower-bound witness for ``row_count_s``.  Instances above the
-    guard (L > ORACLE_MAX_WORKERS or k_i > ORACLE_MAX_ROWS) raise ValueError.
+    guard (L > ORACLE_MAX_WORKERS or k_i > ORACLE_MAX_ROWS) raise ValueError,
+    and so do arguments ``row_count_s`` refuses: the oracle shares its
+    argument rule, ``_level_args``, and never its value.
     """
-    if not 1 <= i <= L:
-        raise ValueError(f"level index {i} outside 1..{L}")
-    if k_i < 0:
-        raise ValueError(f"k_i must be non-negative, got {k_i}")
+    i, k_i = _level_args(i, k_i, L)
     if L > ORACLE_MAX_WORKERS or k_i > ORACLE_MAX_ROWS:
         raise ValueError(
             f"instance (L={L}, k_i={k_i}) above the oracle guard "
@@ -193,9 +208,9 @@ def first_feasible(
     ``targets`` holds (ell, rank) pairs: the cumulative rank k_1 + ... + k_ell
     must reach rank by responder count ell, and a repeated ell keeps its
     largest rank.  Returns None when no feasible configuration meets them.
+    L and n follow ``Configuration.check_shape``.
     """
-    if L < 1 or n < 1:
-        raise ValueError("L and n must be positive")
+    L, n = Configuration.check_shape(L, n)
     capacity = n * L
     # cumulative requirement by each level (targets at earlier ell bind later)
     required = [0] * (L + 1)

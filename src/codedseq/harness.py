@@ -5,7 +5,6 @@ import configparser
 import csv
 import io
 import os
-import secrets
 import zipfile
 from dataclasses import dataclass
 from itertools import chain, groupby
@@ -143,7 +142,6 @@ def validate_experiment(
     # a file's rank is known only after its SVD, a designed F has rank rows
     # and a gaussian one full rank
     full_rank = min(config.rows, config.cols)
-    shape = {"rows": config.rows, "cols": config.cols, "gamma": config.gamma}
     if config.source == "file":
         if not config.source_path:
             raise ValueError("source 'file' needs source_path")
@@ -155,29 +153,34 @@ def validate_experiment(
             )
         if config.rank > full_rank:
             raise ValueError(f"rank {config.rank} exceeds min(rows, cols) = {full_rank}")
-        problem = LassoProblem(F=F, b=b, gamma=config.gamma)
-    elif config.source == "designed":
-        DesignedProblem.check_shape(config.rows, config.cols)
 
-        def draw(rng: SeededRng) -> _Instance:
-            return _solved(designed_problem(rng, **shape).problem, config.rank)
-    elif config.source == "gaussian":
+        def finish() -> Callable[[SeededRng], _Instance]:
+            try:  # the costliest check, so the last
+                solved = _solved(LassoProblem(F=F, b=b, gamma=config.gamma), config.rank)
+            except np.linalg.LinAlgError as exc:  # a ValueError, but the input is valid
+                raise RuntimeError(str(exc)) from exc
+            return lambda rng: solved
+    else:  # a generated source: its shape rule, no file, rank min(rows, cols)
+        shape = {"rows": config.rows, "cols": config.cols, "gamma": config.gamma}
+        if config.source == "designed":
+            DesignedProblem.check_shape(config.rows, config.cols)
+            generate = lambda rng: designed_problem(rng, **shape).problem
+        elif config.source == "gaussian":
+            generate = lambda rng: gaussian_problem(rng, **shape)
+        else:
+            raise ValueError(f"unknown problem source {config.source!r}")
+        if config.source_path:
+            raise ValueError(f"source {config.source!r} generates its problem; "
+                             f"it ignores source_path = {config.source_path}")
+        if config.rank != full_rank:
+            raise ValueError(f"source {config.source!r} gives rank {full_rank}, "
+                             f"the config says {config.rank}")
 
-        def draw(rng: SeededRng) -> _Instance:
-            return _solved(gaussian_problem(rng, **shape), config.rank)
-    else:
-        raise ValueError(f"unknown problem source {config.source!r}")
-    if config.source != "file" and config.source_path:
-        raise ValueError(f"source {config.source!r} generates its problem; "
-                         f"it ignores source_path = {config.source_path}")
-    if config.source != "file" and config.rank != full_rank:
-        raise ValueError(
-            f"source {config.source!r} gives rank {full_rank}, "
-            f"the config says {config.rank}"
-        )
+        def finish() -> Callable[[SeededRng], _Instance]:
+            return lambda rng: _solved(generate(rng), config.rank)
     schedule = ApproxSchedule(resolve_configuration(config), config.phases)
-    if schedule.phases[-1].rank > config.rank:  # phase ranks increase
-        raise ValueError("phase ranks exceed the problem rank")
+    # ApproxSchedule puts the last phase on a level whose h_ell reaches its
+    # rank, so this refusal also covers a phase rank above the problem rank
     coded = make_layout(schedule.config).offsets[-1]  # h_L, the source rows coded
     if coded > config.rank:
         raise ValueError(f"configuration {schedule.config.k} codes h_L = {coded} rows, "
@@ -187,13 +190,7 @@ def validate_experiment(
     except ValueError as exc:
         raise ValueError(f"baseline: {exc}") from None
     baseline = ApproxSchedule(exact, [(config.rank, config.baseline_iterations)])
-    if config.source == "file":  # the costliest check, so the last
-        try:
-            solved = _solved(problem, config.rank)
-        except np.linalg.LinAlgError as exc:  # a ValueError, but the input is valid
-            raise RuntimeError(str(exc)) from exc
-        return schedule, baseline, lambda rng: solved
-    return schedule, baseline, draw
+    return schedule, baseline, finish()
 
 
 def _load_source(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +244,7 @@ def _write_atomically(path: "str | Path", chunks: Iterable[str]) -> None:
     no reader ever sees a partial file.  The file is made by a plain open, not
     tempfile.mkstemp, so ``path`` gets the usual mode rather than 0600."""
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "x", newline="")  # if this raises, there is nothing to remove
     try:
         with fh:

@@ -1,13 +1,16 @@
 """The public surface: every exported or re-exported name resolves."""
 import ast
+import dataclasses
 import importlib
 import pkgutil
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
 import codedseq
+from codedseq import harness
 from codedseq.cli import build_parser
 
 MODULES = sorted(
@@ -49,3 +52,33 @@ def test_readme_cli_lines_parse():
     assert len(lines) >= 4
     for argv in lines:
         build_parser().parse_args(argv[1:])
+
+
+def readme_config_block():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Custom experiment config", 1)[1]
+    return section.split("```\n", 2)[1]
+
+
+def test_readme_config_block_is_example1(tmp_path):
+    path = tmp_path / "readme.ini"
+    path.write_text(readme_config_block())
+    config = harness.parse_config_file(path)
+    assert config == dataclasses.replace(harness.make_preset("example1"), label="custom")
+
+
+def test_readme_config_block_shows_every_accepted_key(tmp_path):
+    # a key the parser accepts but the block leaves out would be undocumented;
+    # a commented-out key counts as shown, and uncommented it must parse
+    shown, section = set(), None
+    for line in readme_config_block().splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif match := re.match(r";? *(\w+) *=", line):
+            shown.add((section, match[1]))
+    accepted = {(section, key) for section, key, _, _ in harness._SCALARS.values()}
+    accepted |= {("schedule", "phases"), ("configuration", "k")}
+    assert shown == accepted
+    path = tmp_path / "uncommented.ini"
+    path.write_text(re.sub(r"^; (\w+ *=)", r"\1", readme_config_block(), flags=re.M))
+    harness.parse_config_file(path)

@@ -40,6 +40,24 @@ class TestSeededRng:
         np.testing.assert_array_equal(got.generator.random(4),
                                       SeededRng(3).spawn(1).generator.random(4))
 
+    @pytest.mark.parametrize("key", [1.7, 1.0, np.float64(1.0), "1"])
+    def test_spawn_key_must_be_an_integer(self, key):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"spawn key must be an integer, got {key!r}")):
+            SeededRng(3).spawn(0, key)
+
+    @pytest.mark.parametrize("key", [(-1,), (2, -1)])
+    def test_negative_spawn_key_is_refused_at_spawn(self, key):
+        # SeedSequence would refuse it only at the first draw
+        with pytest.raises(ValueError, match=re.escape(f"spawn keys must be >= 0, got {key}")):
+            SeededRng(3).spawn(*key)
+
+    def test_numpy_integer_spawn_keys_draw_the_plain_keys_stream(self):
+        got = SeededRng(3).spawn(np.int64(1), np.uint8(2))
+        assert got._key == (1, 2) and all(type(k) is int for k in got._key)
+        np.testing.assert_array_equal(got.generator.random(4),
+                                      SeededRng(3).spawn(1, 2).generator.random(4))
+
 
 class TestSampleRound:
     def test_deterministic_model(self):

@@ -598,11 +598,20 @@ class TestDecode:
             decode_prefix([])
 
     def test_more_results_than_workers_rejected(self):
-        cfg = Configuration(L=2, n=2, k=(1, 1))
-        workers = encode_all(random_source(cfg, 3, 1), cfg)
-        results = [worker_multiply(w, np.zeros(3)) for w in workers]
-        with pytest.raises(ValueError, match="got 3 results for a cluster of 2 workers"):
-            decode_prefix(results + results[:1])
+        # more than L results repeat an id or hold one above L, so the
+        # decoder refuses every such key itself, and never caches a refusal
+        for L in range(1, 5):
+            cfg = Configuration(L=L, n=1, k=(0,) * (L - 1) + (1,))
+            workers = encode_all(random_source(cfg, 3, 1), cfg)
+            results = [worker_multiply(w, np.zeros(3)) for w in workers]
+            above = results[0]._replace(worker_id=L + 1)
+            for extra, message in ((results[-1], "must come from distinct workers"),
+                                   (above, rf"worker ids must lie in 1\.\.{L}")):
+                cached = Layout.decoder.cache_info().currsize
+                for _ in range(2):
+                    with pytest.raises(ValueError, match=message):
+                        decode_prefix(results + [extra])
+                assert Layout.decoder.cache_info().currsize == cached, (L, message)
 
     def test_duplicate_workers_rejected(self):
         cfg = Configuration(L=2, n=2, k=(1, 1))

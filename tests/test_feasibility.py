@@ -39,6 +39,21 @@ class TestRowCount:
         with pytest.raises(ValueError):
             row_count_s(2, -1, 4)
 
+    @pytest.mark.parametrize("i, k_i, message", [
+        (2, 3.0, "k_i must be an integer, got 3.0"),
+        (2.0, 3, "i must be an integer, got 2.0"),
+        (2, np.float64(3), "k_i must be an integer, got "),
+    ])
+    def test_rejects_non_integer_arguments(self, i, k_i, message):
+        # the oracle shares the rule, so it refuses them with the same message
+        for call in (lambda: row_count_s(i, k_i, 4), lambda: min_rows_oracle(4, i, k_i)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    def test_numpy_integer_arguments_pass(self):
+        assert row_count_s(np.int64(2), np.uint8(3), 4) == 7
+        assert type(row_count_s(np.int64(2), np.uint8(3), 4)) is int
+
     def test_divisibility_exact(self):
         for L in range(1, 6):
             for i in range(1, L + 1):
@@ -152,6 +167,24 @@ class TestFeasibleConfigs:
     def test_rejects_bad_arguments(self, L, n, targets):
         with pytest.raises(ValueError):
             first_feasible(L, n, targets)
+
+    @pytest.mark.parametrize("L, n, message", [
+        (0, 10, "L must be >= 1, got 0"), (4, 0, "n must be >= 1, got 0"),
+        (4.0, 10, "L must be an integer, got 4.0"), (4, 10.0, "n must be an integer, got 10.0"),
+    ])
+    def test_shape_follows_the_configuration_rule(self, L, n, message):
+        # an explicit k and k = auto refuse a bad shape with the same message
+        for call in (lambda: Configuration(L=L, n=n, k=(0,) * 4),
+                     lambda: first_feasible(L, n, [(3, 6)]),
+                     lambda: auto_configuration(L, n, [6, 38])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    def test_numpy_integer_shape_gives_plain_ints(self):
+        cfg = first_feasible(np.int64(4), np.int32(10), [(3, 6), (4, 38)])
+        assert cfg == Configuration(L=4, n=10, k=(0, 0, 6, 32))
+        shape = Configuration.check_shape(np.int64(4), np.uint8(10))
+        assert shape == (4, 10) and all(type(v) is int for v in shape)
 
     @pytest.mark.parametrize("targets", [[(3, 6), (3, 2)], [(3, 2), (3, 6)]])
     def test_repeated_level_keeps_largest_rank(self, targets):

@@ -813,7 +813,7 @@ class TestParseConfig:
         ({"rank": 7}, r"rank 7 exceeds min\(rows, cols\) = 6"),
         ({"source": "csv"}, "unknown problem source 'csv'"),
         ({"configuration": (3, 4), "phases": ((3, 5), (7, 20))},
-         "phase ranks exceed the problem rank"),
+         r"configuration \(3, 4\) codes h_L = 7 rows, more than the problem rank 6"),
         ({"configuration": (9, 9)}, r"configuration \(9, 9\) is infeasible"),
         ({"n": 2, "configuration": (0, 3), "phases": ((3, 5),)},
          r"baseline: no feasible configuration supports phase ranks \[6\]"),

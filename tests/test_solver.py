@@ -11,8 +11,8 @@ from conftest import WIDE8_INI, spectral_norm_power, truncated_dense
 import codedseq.codec as codec_module
 import codedseq.solver as solver_module
 from codedseq.cluster import LatencyModel, SeededRng, simulate_wait
-from codedseq.codec import decode_prefix, encode_all, worker_multiply
-from codedseq.feasibility import Configuration, auto_configuration
+from codedseq.codec import decode_prefix, encode_all, make_layout, worker_multiply
+from codedseq.feasibility import Configuration, auto_configuration, check_feasible
 from codedseq.harness import make_preset, parse_config_file, resolve_configuration
 from codedseq.problems import designed_problem, gaussian_problem
 from codedseq.solver import (
@@ -282,6 +282,26 @@ class TestSchedule:
         cfg = Configuration(L=4, n=10, k=(5, 10, 0, 0))
         with pytest.raises(TypeError):
             ApproxSchedule(cfg, [(5, 5)], phases=(Phase(rank=5, iterations=5, ell=2),))
+
+    @given(
+        L=st.integers(1, 6),
+        n=st.integers(1, 12),
+        k=st.lists(st.integers(0, 4), min_size=6, max_size=6),
+        data=st.data(),
+    )
+    def test_accepted_schedule_ends_within_h_L(self, L, n, k, data):
+        # validation leans on this: a schedule it accepts has its last phase
+        # rank <= h_L, so refusing h_L > rank covers the phase ranks too
+        cfg = Configuration(L=L, n=n, k=k[:L])
+        h_L = sum(cfg.k)
+        ranks = data.draw(st.sets(st.integers(1, h_L + 2), min_size=1, max_size=4))
+        specs = [(rank, 1) for rank in sorted(ranks)]
+        try:
+            sched = ApproxSchedule(cfg, specs)
+        except ValueError:
+            assert not check_feasible(cfg).feasible or max(ranks) > h_L
+            return
+        assert sched.phases[-1].rank <= make_layout(cfg).offsets[-1] == h_L
 
     @pytest.mark.parametrize("name", ["example1", "example2", "wide8"])
     def test_ell_is_the_least_covering_count(self, name):

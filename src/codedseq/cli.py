@@ -24,7 +24,7 @@ from .cluster import SeededRng
 from .codec import (
     DUMP_COLUMNS, dump_rows, decode_prefix, encode_all, make_layout, worker_multiply,
 )
-from .feasibility import Configuration, check_feasible, min_rows_oracle, row_count_s
+from .feasibility import Configuration, as_count, check_feasible, min_rows_oracle, row_count_s
 from .feasibility import ORACLE_MAX_ROWS, ORACLE_MAX_WORKERS
 from .harness import (
     PRESET_NAMES,
@@ -73,8 +73,7 @@ def _cmd_demo_encode(args) -> None:
         raise ValueError(f"the self-test decodes all 2^L - 1 responder subsets, so "
                          f"--L must be <= {DEMO_MAX_WORKERS}, got {cfg.L}")
     h = make_layout(cfg).offsets  # level i is rows h[i-1]:h[i] of A
-    if args.m < 1:
-        raise ValueError(f"invalid column count: --m must be >= 1, got {args.m}")
+    as_count("--m", args.m, 1)
     gen = SeededRng(args.seed).generator
     A = gen.standard_normal((h[-1], args.m))
     workers = encode_all(A, cfg)

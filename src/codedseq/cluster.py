@@ -71,18 +71,15 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
-        self.seed = as_count("seed", seed)
-        if self.seed < 0:  # SeedSequence would refuse it only at the first draw
-            raise ValueError(f"invalid seed {seed}: a seed must be >= 0")
+        # SeedSequence would refuse a negative seed only at the first draw
+        self.seed = as_count("seed", seed, 0)
         self._key = _key
         self._gen: np.random.Generator | None = None
 
     def spawn(self, *key: int) -> "SeededRng":
         """The substream at this path plus ``key``, whose entries follow the
         seed's rule: each a count (``as_count``) and >= 0, refused here."""
-        key = tuple(as_count("spawn key", k) for k in key)
-        if any(k < 0 for k in key):
-            raise ValueError(f"spawn keys must be >= 0, got {key}")
+        key = tuple(as_count("spawn key", k, 0) for k in key)
         return SeededRng(self.seed, self._key + key)
 
     @property
@@ -95,8 +92,7 @@ class SeededRng:
 
 def sample_round(model: LatencyModel, L: int, rng: SeededRng) -> np.ndarray:
     """Draw one round of L independent worker finish times, shape (L,)."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
+    L = as_count("L", L, 1)
     if model.kind == "deterministic":
         return np.full(L, model.value)
     times = rng.generator.random(L)  # a fresh array in [0, 1): transform it in place
@@ -112,8 +108,7 @@ def order_stat_mean(model: LatencyModel, L: int, ell: int) -> float:
     """Mean of T_(ell), the ell-th smallest of L i.i.d. latencies, in closed
     form for each law: (1/rate) * sum_{j=L-ell+1}^{L} 1/j for exponential,
     shift plus that for shifted-exponential, and value for deterministic."""
-    if not 1 <= ell <= L:
-        raise ValueError(f"ell={ell} outside 1..{L}")
+    ell = as_count("ell", ell, 1, as_count("L", L, 1))
     if model.kind == "deterministic":
         return model.value
     mean = sum(1.0 / j for j in range(L - ell + 1, L + 1)) / model.rate
@@ -129,8 +124,8 @@ def simulate_wait(
 
     The responder ids are 1-based and sorted; ties go to the lower index.
     """
-    if not 1 <= ell_target <= L:  # checked first, so a rejected call draws nothing
-        raise ValueError(f"ell={ell_target} outside 1..{L}")
+    # checked first, so a rejected call draws nothing
+    ell_target = as_count("ell", ell_target, 1, as_count("L", L, 1))
     times = sample_round(model, L, rng)
     first = times.argsort(kind="stable").tolist()[:ell_target]
     elapsed = float(times[first[-1]])

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .feasibility import Configuration, check_feasible, row_count_s
+from .feasibility import Configuration, as_count, check_feasible, row_count_s
 
 __all__ = [
     "InfeasibleConfiguration",
@@ -90,7 +90,7 @@ def _cauchy_parity(rows_in: int, parity: int) -> np.ndarray:
     return 1.0 / (r - c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so a float such as 3.0 always misses
 def make_generator(rows_in: int, rows_out: int) -> np.ndarray:
     """Deterministic systematic MDS generator: the read-only rows_out x rows_in
     array of the identity over a Cauchy parity block.
@@ -99,10 +99,10 @@ def make_generator(rows_in: int, rows_out: int) -> np.ndarray:
     square minor of the Cauchy block (see ``_cauchy_parity``).  So the code is
     MDS by construction and is not re-checked at run time; the tier-1 suite
     checks every code with at most 12 coded rows by the singular values of
-    its square submatrices, 8,178 in all.
+    its square submatrices, 8,178 in all.  rows_out >= 1 and rows_in in
+    1..rows_out are counts (``as_count``).
     """
-    if not 1 <= rows_in <= rows_out:
-        raise ValueError(f"need 1 <= rows_in <= rows_out, got ({rows_in}, {rows_out})")
+    rows_in = as_count("rows_in", rows_in, 1, as_count("rows_out", rows_out, 1))
     coeffs = np.vstack(
         [np.eye(rows_in), _cauchy_parity(rows_in, rows_out - rows_in)]
     )

@@ -36,14 +36,20 @@ __all__ = [
 ]
 
 
-def as_count(name: str, value) -> int:
-    """value as an int, refusing what is not an integer (a float, even 3.0)
-    with a ValueError naming it; NumPy integers pass.  The one rule for the
-    counts that configurations, seeds, schedules and experiments take."""
+def as_count(name: str, value, least: int | None = None, most: int | None = None) -> int:
+    """value as an int, refusing with a ValueError naming it what is not an
+    integer (a float, even 3.0; NumPy integers pass), then a value below
+    ``least``, then one outside ``least..most``.  The one rule for the counts
+    that configurations, seeds, clusters, schedules and experiments take."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{name} {value} outside {least}..{most}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -58,23 +64,16 @@ class Configuration:
         L, n = self.check_shape(self.L, self.n)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "n", n)
-        k = tuple(as_count(f"k_{i}", v) for i, v in enumerate(self.k, start=1))
+        k = tuple(as_count(f"k_{i}", v, 0) for i, v in enumerate(self.k, start=1))
         if len(k) != self.L:
             raise ValueError(f"expected {self.L} level counts, got {len(k)}")
-        if any(v < 0 for v in k):
-            raise ValueError(f"level counts must be non-negative, got {k}")
         object.__setattr__(self, "k", k)
 
     @staticmethod
     def check_shape(L: int, n: int) -> tuple[int, int]:
-        """L and n as counts; the one rule for a cluster's shape: each an
-        integer (``as_count``) and >= 1, else ValueError."""
-        L, n = as_count("L", L), as_count("n", n)
-        if L < 1:
-            raise ValueError(f"L must be >= 1, got {L}")
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        return L, n
+        """L and n as counts (``as_count``), each >= 1; the one rule for a
+        cluster's shape."""
+        return as_count("L", L, 1), as_count("n", n, 1)
 
     @property
     def capacity(self) -> int:
@@ -108,14 +107,9 @@ def row_count_s(i: int, k_i: int, L: int) -> int:
 
 
 def _level_args(i: int, k_i: int, L: int) -> tuple[int, int]:
-    """i and k_i as counts (``as_count``); the one rule for a level's
-    arguments: a level index outside 1..L or a negative k_i raises ValueError."""
-    i, k_i = as_count("i", i), as_count("k_i", k_i)
-    if not 1 <= i <= L:
-        raise ValueError(f"level index {i} outside 1..{L}")
-    if k_i < 0:
-        raise ValueError(f"k_i must be non-negative, got {k_i}")
-    return i, k_i
+    """i in 1..L (L >= 1) and k_i >= 0 as counts (``as_count``); the one rule
+    for a level's arguments."""
+    return as_count("level index", i, 1, as_count("L", L, 1)), as_count("k_i", k_i, 0)
 
 
 def check_feasible(cfg: Configuration) -> RowBudget:
@@ -208,18 +202,16 @@ def first_feasible(
     ``targets`` holds (ell, rank) pairs: the cumulative rank k_1 + ... + k_ell
     must reach rank by responder count ell, and a repeated ell keeps its
     largest rank.  Returns None when no feasible configuration meets them.
-    L and n follow ``Configuration.check_shape``.
+    L and n follow ``Configuration.check_shape``; each ell is a count in
+    1..L and each rank one >= 0 (``as_count``).
     """
     L, n = Configuration.check_shape(L, n)
     capacity = n * L
     # cumulative requirement by each level (targets at earlier ell bind later)
     required = [0] * (L + 1)
     for ell, rank in targets:
-        if not 1 <= ell <= L:
-            raise ValueError(f"target level {ell} outside 1..{L}")
-        if rank < 0:
-            raise ValueError(f"target rank must be non-negative, got {rank}")
-        required[ell] = max(required[ell], rank)
+        ell = as_count("target level", ell, 1, L)
+        required[ell] = max(required[ell], as_count("target rank", rank, 0))
     for ell in range(1, L + 1):
         required[ell] = max(required[ell], required[ell - 1])
 

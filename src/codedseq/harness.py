@@ -139,6 +139,8 @@ def validate_experiment(
         raise ValueError(
             f"[summary] threshold must be >= 0, got {config.summary_threshold}")
     LassoProblem.check_gamma(config.gamma)
+    for name in ("rows", "cols", "rank"):  # the integer rule; each range rule follows
+        as_count(name, getattr(config, name))
     # a file's rank is known only after its SVD, a designed F has rank rows
     # and a gaussian one full rank
     full_rank = min(config.rows, config.cols)
@@ -187,9 +189,9 @@ def validate_experiment(
                          f"more than the problem rank {config.rank}")
     try:  # the exact scheme is the one-phase case of the same rule
         exact = auto_configuration(config.L, config.n, [config.rank])
+        baseline = ApproxSchedule(exact, [(config.rank, config.baseline_iterations)])
     except ValueError as exc:
         raise ValueError(f"baseline: {exc}") from None
-    baseline = ApproxSchedule(exact, [(config.rank, config.baseline_iterations)])
     return schedule, baseline, finish()
 
 
@@ -448,8 +450,7 @@ def run_experiment(
     source, or during the run, where a ValueError (LinAlgError included) is
     re-raised as one.  A failed write raises OSError.
     """
-    if as_count("replications", replications) < 1:
-        raise ValueError("need at least one replication")
+    as_count("replications", replications, 1)
     root = SeededRng(seed)
     output = Path(output)
     if not output.parent.is_dir():

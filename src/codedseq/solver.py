@@ -157,7 +157,7 @@ class SvdFactors:
 
 def soft_threshold(v: np.ndarray, theta: float) -> np.ndarray:
     """Elementwise shrink toward zero by theta; the prox of theta*||.||_1."""
-    if theta < 0:
+    if not theta >= 0:  # NaN fails too
         raise ValueError(f"threshold must be >= 0, got {theta}")
     out = np.absolute(v, dtype=float)  # one buffer; an int v gives floats, as before
     out -= theta
@@ -196,9 +196,7 @@ class ApproxSchedule:
         prev_rank = 0
         for rank, iterations in phase_specs:
             rank = as_count("phase rank", rank)
-            iterations = as_count("phase iterations", iterations)
-            if iterations < 1:
-                raise ValueError(f"phase iteration count must be >= 1, got {rank, iterations}")
+            iterations = as_count("phase iterations", iterations, 1)
             if rank <= prev_rank:
                 raise ValueError(f"phase ranks must strictly increase, got {rank, iterations}")
             ell = bisect_left(offsets, rank)  # offsets[0] = 0 < rank

@@ -25,7 +25,7 @@ class TestSeededRng:
         assert not np.array_equal(a, b)
 
     def test_negative_seed_is_refused_before_any_draw(self):
-        with pytest.raises(ValueError, match="invalid seed -1"):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             SeededRng(-1)
 
     @pytest.mark.parametrize("seed", [3.9, 3.0, np.float64(3.0), "3"])
@@ -49,7 +49,7 @@ class TestSeededRng:
     @pytest.mark.parametrize("key", [(-1,), (2, -1)])
     def test_negative_spawn_key_is_refused_at_spawn(self, key):
         # SeedSequence would refuse it only at the first draw
-        with pytest.raises(ValueError, match=re.escape(f"spawn keys must be >= 0, got {key}")):
+        with pytest.raises(ValueError, match="^spawn key must be >= 0, got -1$"):
             SeededRng(3).spawn(*key)
 
     def test_numpy_integer_spawn_keys_draw_the_plain_keys_stream(self):
@@ -184,12 +184,12 @@ class TestOrderStatMean:
                              ids=lambda m: m.kind)
     def test_every_law_rejects_ell_outside_the_cluster(self, model):
         for ell in (0, 5):
-            with pytest.raises(ValueError, match=f"ell={ell} outside 1..4"):
+            with pytest.raises(ValueError, match=re.escape(f"ell {ell} outside 1..4")):
                 order_stat_mean(model, 4, ell)
 
     @pytest.mark.parametrize("ell", [0, 5])
     def test_rejects_ell_outside_the_cluster(self, ell):
-        with pytest.raises(ValueError, match=f"ell={ell} outside 1..4"):
+        with pytest.raises(ValueError, match=re.escape(f"ell {ell} outside 1..4")):
             order_stat_mean(LatencyModel.exponential(1.0), 4, ell)
 
     def test_monte_carlo_agreement_shifted(self):

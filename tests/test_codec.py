@@ -223,6 +223,17 @@ class TestGenerator:
         with pytest.raises(ValueError):
             make_generator(3, 2)
 
+    @pytest.mark.parametrize("calls", [(3, 3.0), (3.0, 3)], ids=["int-first", "float-first"])
+    def test_refuses_a_float_whatever_the_cache_holds(self, calls):
+        # 3.0 == 3 and hash(3.0) == hash(3), so only a typed cache keeps them apart
+        make_generator.cache_clear()
+        for rows_in in calls:
+            if isinstance(rows_in, float):
+                with pytest.raises(ValueError, match="^rows_in must be an integer, got 3.0$"):
+                    make_generator(rows_in, 4)
+            else:
+                assert make_generator(rows_in, 4).shape == (4, 3)
+
 
 class TestEncode:
     def test_reference_example_structure(self):

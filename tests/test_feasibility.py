@@ -41,7 +41,7 @@ class TestRowCount:
 
     @pytest.mark.parametrize("i, k_i, message", [
         (2, 3.0, "k_i must be an integer, got 3.0"),
-        (2.0, 3, "i must be an integer, got 2.0"),
+        (2.0, 3, "level index must be an integer, got 2.0"),
         (2, np.float64(3), "k_i must be an integer, got "),
     ])
     def test_rejects_non_integer_arguments(self, i, k_i, message):
@@ -132,7 +132,7 @@ class TestOracle:
     @pytest.mark.parametrize("i, k_i, message", [
         (0, 3, "level index 0 outside 1..4"),
         (5, 3, "level index 5 outside 1..4"),
-        (2, -1, "k_i must be non-negative, got -1"),
+        (2, -1, "k_i must be >= 0, got -1"),
     ])
     def test_rejects_bad_level_or_row_count(self, i, k_i, message):
         with pytest.raises(ValueError, match=message):

@@ -923,7 +923,25 @@ class TestFailureOwnership:
         code = main(["experiment", "example1", "--replications", "0",
                      "--output", str(out)])
         assert code == 2
-        assert "need at least one replication" in capsys.readouterr().err
+        assert ("validation failed: replications must be >= 1, got 0"
+                in capsys.readouterr().err)
+        assert draws == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["rows", "cols", "rank"])
+    def test_float_problem_shape_exits_2_before_any_replication(
+        self, tmp_path, capsys, monkeypatch, field
+    ):
+        # an integral float used to pass validation and fail in replication 0
+        preset = make_preset("example1")
+        value = float(getattr(preset, field))
+        monkeypatch.setattr(cli_module, "make_preset", lambda name: dataclasses.replace(
+            preset, label="float-shape", **{field: value}))
+        draws = count_draws(monkeypatch)
+        out = tmp_path / "trace.csv"
+        assert main(["experiment", "example1", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation failed: {field} must be an integer, got {value!r}\n")
         assert draws == []
         assert not out.exists()
 
@@ -958,8 +976,8 @@ class TestFailureOwnership:
         assert [p.name for p in tmp_path.iterdir()] == ["k39.ini"]
 
     @pytest.mark.parametrize("k, seed, output, code, message", [
-        ("0,0,6,32", "-1", "trace.csv", 2, "validation failed: invalid seed -1"),
-        ("9,9,9,9", "-1", "trace.csv", 2, "validation failed: invalid seed -1"),
+        ("0,0,6,32", "-1", "trace.csv", 2, "validation failed: seed must be >= 0, got -1"),
+        ("9,9,9,9", "-1", "trace.csv", 2, "validation failed: seed must be >= 0, got -1"),
         ("9,9,9,9", "0", "nodir/trace.csv", 3, "experiment failed: cannot write"),
     ], ids=["seed", "seed-over-config", "output-over-config"])
     def test_seed_and_output_are_refused_before_the_file_solve(
@@ -989,7 +1007,7 @@ class TestFailureOwnership:
         code = main(["experiment", "example1", "--seed", "-1", "--replications", "1",
                      "--output", str(out)])
         assert code == 2
-        assert "invalid seed -1" in capsys.readouterr().err
+        assert "validation failed: seed must be >= 0, got -1" in capsys.readouterr().err
         assert draws == []
         assert not out.exists()
 
@@ -1200,7 +1218,7 @@ class TestCli:
                      "--m", m, "--output", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "--m must be >= 1" in err
+        assert f"validation failed: --m must be >= 1, got {m}" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -1210,7 +1228,7 @@ class TestCli:
                      "--seed", "-1", "--output", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "invalid seed -1" in err
+        assert "validation failed: seed must be >= 0, got -1" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -67,6 +67,10 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(np.array([1.0]), -0.1)
 
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="^threshold must be >= 0, got nan$"):
+            soft_threshold(np.array([1.0]), float("nan"))
+
     @given(
         v=st.floats(-1e6, 1e6, allow_nan=False),
         theta=st.floats(0, 1e6, allow_nan=False),
@@ -254,7 +258,7 @@ class TestSchedule:
 
     @pytest.mark.parametrize("k,specs,match", [
         ((0, 0, 6, 32), [], "at least one phase"),
-        ((0, 0, 6, 32), [(6, 5), (38, 0)], "iteration count must be >= 1"),
+        ((0, 0, 6, 32), [(6, 5), (38, 0)], "^phase iterations must be >= 1, got 0$"),
         ((9, 9, 9, 9), [(6, 5)], "infeasible"),
     ], ids=["no-phase", "no-iterations", "infeasible"])
     def test_rejects_bad_schedule(self, k, specs, match):
